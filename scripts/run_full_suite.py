@@ -4,7 +4,7 @@
 Each run shells out to ``python3 -m sigma2lab.cli`` exactly as a user would,
 saves the JSON envelope under <out>/<name>.json, and prints one line per
 command.  Exit status is nonzero if any command fails.  The convergence run
-at h = 0.05 dominates the runtime (about a minute); pass --quick to use a
+at h = 0.05 dominates the runtime (a few seconds); pass --quick to use a
 coarser pair of spacings with a correspondingly wider ratio window.
 
 Example:
@@ -47,7 +47,7 @@ def roster(quick: bool) -> list[tuple[str, list[str]]]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results/full_suite", help="directory for the JSON reports")
-    ap.add_argument("--quick", action="store_true", help="coarser convergence pair (seconds, not a minute)")
+    ap.add_argument("--quick", action="store_true", help="coarser convergence pair (about a second)")
     args = ap.parse_args(argv)
 
     out = Path(args.out)

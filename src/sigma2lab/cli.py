@@ -187,6 +187,7 @@ def _emit(args, subcommand: str, checks: list[dict], payload: dict) -> int:
 
 
 def _write_csv(args, name: str, header: list[str], rows) -> None:
+    """Write DIR/name with --out; ``rows`` is a zero-argument callable, called only then."""
     if not args.out:
         return
     out = Path(args.out)
@@ -194,10 +195,12 @@ def _write_csv(args, name: str, header: list[str], rows) -> None:
     with open(out / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(rows())
 
 
 def _sample_box(rng, box, count: int) -> np.ndarray:
+    if count < 1:
+        raise ConfigError(f"need at least one sample point, got {count}")
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     return lo + (hi - lo) * rng.random((count, len(box)))
@@ -232,7 +235,7 @@ def cmd_verify(args) -> int:
         args,
         "residuals.csv",
         [f"x{i}" for i in range(dim)] + ["residual"],
-        np.column_stack([pts, res]).tolist(),
+        lambda: np.column_stack([pts, res]).tolist(),
     )
     return _emit(args, "verify", checks, payload)
 
@@ -316,7 +319,7 @@ def cmd_rigidity(args) -> int:
         args,
         "rigidity.csv",
         ["L", "h", "converged", "iterations", "osc_u11_inner", "max_u1_axis", "error"],
-        [
+        lambda: [
             [r["L"], r["h"], r["converged"], r["iterations"], r["osc_u11_inner"], r["max_u1_axis"], r["error"]]
             for r in rows
         ],
@@ -343,7 +346,7 @@ def cmd_barrier(args) -> int:
         args,
         "ellipsoid_boundary.csv",
         [f"x{i}" for i in range(E.dim)],
-        E.boundary_points(256).tolist(),
+        lambda: E.boundary_points(256).tolist(),
     )
     return _emit(args, "barrier", checks, payload)
 
@@ -385,7 +388,7 @@ def cmd_legendre(args) -> int:
             args,
             "theta.csv",
             [f"x{i}" for i in range(theta.grid.dim)] + ["theta"],
-            np.column_stack([theta.grid.points(), theta.values.ravel()]).tolist(),
+            lambda: np.column_stack([theta.grid.points(), theta.values.ravel()]).tolist(),
         )
     return _emit(args, "legendre", checks, payload)
 
@@ -404,7 +407,7 @@ def cmd_classify(args) -> int:
             args,
             "extracted_b_g.csv",
             [f"x{i+1}" for i in range(pts.shape[1])] + ["b", "g"],
-            np.column_stack([pts, np.asarray(b_vals).ravel(), np.asarray(g_vals).ravel()]).tolist(),
+            lambda: np.column_stack([pts, np.asarray(b_vals).ravel(), np.asarray(g_vals).ravel()]).tolist(),
         )
     rep["verdict"] = "He-form" if rep["is_he_form"] else "NOT-He-form"
     return _emit(args, "classify", [], rep)
@@ -452,7 +455,7 @@ def cmd_convergence(args) -> int:
         args,
         "convergence.csv",
         ["h", "nodes_per_axis", "iterations", "residual_norm", "interior_max_error"],
-        [[r["h"], r["nodes_per_axis"], r["iterations"], r["residual_norm"], r["interior_max_error"]] for r in rows],
+        lambda: [[r["h"], r["nodes_per_axis"], r["iterations"], r["residual_norm"], r["interior_max_error"]] for r in rows],
     )
     return _emit(args, "convergence", checks, {"rows": rows, "ratios": ratios})
 

@@ -8,20 +8,34 @@ the ellipticity cone u_tt > 0; a backtracking line search on ||F||_2 keeps
 iterates there.  Boundary nodes are hard Dirichlet constraints eliminated
 from the linear systems.
 
+Each Newton correction solves J delta = -F by GMRES preconditioned with one
+multigrid V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*).  The
+levels are the dyadic ladder of ``_coarsen_levels``, the same one the auto
+start refines along; coarse operators are the Galerkin products P^T J P with
+P the trilinear prolongation of interior corrections (zero on the boundary),
+every level but the coarsest smooths with damped Jacobi, and the coarsest
+level alone is factorised by sparse LU.  A grid with no dyadic ladder (an
+even node count, say) is the one-level case: its coarsest level is J itself.
+Every solve must reach relative residual 1e-10 or raise LinearSolveFailure.
+
 Initialization ("auto") solves one discrete Laplace problem with the given
 boundary data plus one Poisson problem with unit load, then picks the
 combination u_harmonic + c*w whose mean discrete operator value is 1 --
 exact root of a scalar quadratic.  For quadratic boundary data this lands on
-the discrete solution itself.
+the discrete solution itself.  Both Dirichlet problems are diagonalised
+exactly by the type-1 discrete sine transform (Buzbee, Golub & Nielson
+1970), so the calibration costs a few FFTs instead of a factorisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 
 from .core_ops import Grid, ScalarField, second_diff, sigma2_interior
 from .errors import (
@@ -43,6 +57,13 @@ __all__ = [
 ]
 
 _LINEAR_RELRES = 1e-10
+# linear solve: GMRES(_GMRES_RESTART) for at most _GMRES_CYCLES restarts,
+# preconditioned by a V(_SMOOTHING_SWEEPS, _SMOOTHING_SWEEPS) cycle whose
+# Jacobi sweeps are damped by _JACOBI_WEIGHT
+_GMRES_RESTART = 40
+_GMRES_CYCLES = 5
+_SMOOTHING_SWEEPS = 2
+_JACOBI_WEIGHT = 0.8
 
 
 @dataclass
@@ -180,19 +201,6 @@ def assemble_jacobian(u: ScalarField) -> sp.csr_matrix:
     return _stencil_matrix(entries, u.grid.interior_shape)
 
 
-def _laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    h = grid.spacing
-    ndim = grid.dim
-    shape = grid.interior_shape
-    entries = [((0,) * ndim, np.full(shape, -sum(2.0 / hh**2 for hh in h)))]
-    for a in range(ndim):
-        for s in (1, -1):
-            off = [0] * ndim
-            off[a] = s
-            entries.append((tuple(off), np.full(shape, 1.0 / h[a] ** 2)))
-    return _stencil_matrix(entries, shape)
-
-
 def _boundary_only(problem: DirichletProblem) -> np.ndarray:
     vals = np.zeros(problem.grid.shape)
     mask = problem.grid.boundary_mask()
@@ -218,22 +226,92 @@ def _min_u11(values: np.ndarray, spacing) -> float:
     return float(second_diff(values, 0, spacing[0]).min())
 
 
-def _solve_sparse(mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _prolongation_1d(fine: int, coarse: int) -> sp.csr_matrix:
+    """Linear interpolation from the coarse to the fine interior nodes of one axis."""
+    j = np.arange(coarse - 2)
+    rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
+    cols = np.concatenate([j, j, j])
+    vals = np.concatenate([np.full(j.size, 0.5), np.ones(j.size), np.full(j.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(fine - 2, coarse - 2))
+
+
+@lru_cache(maxsize=8)
+def _prolongations(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, ...]:
+    """Tensor-product prolongations up the ladder of ``_coarsen_levels``, coarse first."""
+    levels = _coarsen_levels(shape)
+    out = []
+    for coarse, fine in zip(levels, levels[1:]):
+        P = _prolongation_1d(fine[0], coarse[0])
+        for f, c in zip(fine[1:], coarse[1:]):
+            P = sp.kron(P, _prolongation_1d(f, c), format="csr")
+        out.append(P)
+    return tuple(out)
+
+
+def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
+    """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual."""
+    prolongs = _prolongations(shape)
+    ops = [mat]
+    for P in reversed(prolongs):
+        ops.insert(0, (P.T @ ops[0] @ P).tocsr())
     try:
-        lu = spla.splu(mat.tocsc())
-        x = lu.solve(rhs)
+        coarsest = spla.splu(ops[0].tocsc())
     except RuntimeError as exc:
         raise LinearSolveFailure(f"sparse factorization failed: {exc}") from exc
+    weights = []
+    for A in ops[1:]:
+        diag = A.diagonal()
+        if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
+            raise LinearSolveFailure("Jacobi smoother needs a finite, nonzero diagonal")
+        weights.append(_JACOBI_WEIGHT / diag)
+
+    def cycle(level: int, rhs: np.ndarray) -> np.ndarray:
+        if level == 0:
+            return coarsest.solve(rhs)
+        A, w, P = ops[level], weights[level - 1], prolongs[level - 1]
+        x = w * rhs  # first pre-smoothing sweep, from zero
+        for _ in range(_SMOOTHING_SWEEPS - 1):
+            x += w * (rhs - A @ x)
+        x += P @ cycle(level - 1, P.T @ (rhs - A @ x))
+        for _ in range(_SMOOTHING_SWEEPS):
+            x += w * (rhs - A @ x)
+        return x
+
+    return lambda rhs: cycle(len(ops) - 1, rhs)
+
+
+def _solve_sparse(mat: sp.csr_matrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Solve ``mat x = rhs`` for the interior unknowns of ``grid`` to relative residual 1e-10."""
+    precond = spla.LinearOperator(mat.shape, matvec=_v_cycle(mat, grid.shape))
+    x, _ = spla.gmres(
+        mat, rhs, rtol=_LINEAR_RELRES, restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=precond
+    )
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("sparse solve produced non-finite values")
     denom = np.linalg.norm(rhs)
     if denom > 0.0:
         relres = np.linalg.norm(mat @ x - rhs) / denom
-        if relres > _LINEAR_RELRES:
+        if not relres <= _LINEAR_RELRES:  # NaN fails too
             raise LinearSolveFailure(
                 f"inner linear solve reached relative residual {relres:.3e} > {_LINEAR_RELRES}"
             )
     return x
+
+
+def _dirichlet_poisson(grid: Grid, load: np.ndarray) -> np.ndarray:
+    """Interior solution of Lap_h v = load with zero Dirichlet data, by DST-I.
+
+    The interior 5-point (7-point in 3D) Laplacian is diagonal in the sine
+    basis, with eigenvalue sum_a -(4/h_a^2) sin^2(pi k_a / (2(n_a+1))),
+    k_a = 1..n_a, on an axis with n_a interior nodes.
+    """
+    shape = grid.interior_shape
+    eig = np.zeros(shape)
+    for a, (n, h) in enumerate(zip(shape, grid.spacing)):
+        k = np.arange(1, n + 1)
+        lam = -(4.0 / h**2) * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2
+        eig = eig + lam.reshape([-1 if b == a else 1 for b in range(len(shape))])
+    return idstn(dstn(load, type=1) / eig, type=1)
 
 
 def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, ScalarField]:
@@ -249,10 +327,8 @@ def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, 
     grid = problem.grid
     h = grid.spacing
     bvals = _boundary_only(problem)
-    lap = _laplacian_matrix(grid)
-    lu = spla.splu(lap.tocsc())
-    harm_int = lu.solve(-_discrete_laplacian(bvals, h).ravel())
-    w_int = lu.solve(np.ones(harm_int.size))
+    harm_int = _dirichlet_poisson(grid, -_discrete_laplacian(bvals, h))
+    w_int = _dirichlet_poisson(grid, np.ones(grid.interior_shape))
     harm = _interior_embed(grid, bvals, harm_int)
     w = _interior_embed(grid, np.zeros(grid.shape), w_int)
 
@@ -262,9 +338,14 @@ def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, 
     def margin(c: float) -> float:
         return _min_u11(harm + c * w, h)
 
-    f0, fp, fm = mean_residual(0.0), mean_residual(1.0), mean_residual(-1.0)
-    a2 = 0.5 * (fp + fm - 2.0 * f0)  # exact: the operator is quadratic in u
-    a1 = 0.5 * (fp - fm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, fp, fm = mean_residual(0.0), mean_residual(1.0), mean_residual(-1.0)
+        a2 = 0.5 * (fp + fm - 2.0 * f0)  # exact: the operator is quadratic in u
+        a1 = 0.5 * (fp - fm)
+    if not np.all(np.isfinite([a2, a1, f0])):
+        raise ConfigError(
+            "boundary data too large: the discrete operator overflows in the auto start"
+        )
     roots = [r.real for r in np.roots([a2, a1, f0]) if abs(r.imag) <= 1e-9 * (1 + abs(r.real))]
     if not roots:
         roots = [-a1 / (2.0 * a2)] if a2 != 0.0 else [0.0]
@@ -302,9 +383,9 @@ def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, 
     return None, ScalarField(grid, harm + best_entry * w)
 
 
-def _coarsen_levels(grid: Grid) -> list[tuple[int, ...]]:
+def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Dyadic shape ladder from coarse to fine; every level subsamples the last."""
-    shapes = [grid.shape]
+    shapes = [shape]
     while all(m % 2 == 1 for m in shapes[0]) and all((m + 1) // 2 >= 5 for m in shapes[0]):
         shapes.insert(0, tuple((m + 1) // 2 for m in shapes[0]))
         if max(shapes[0]) <= 11:
@@ -350,7 +431,7 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
     calibrated, entry = _laplace_calibrated(problem)
     if calibrated is not None:
         return calibrated
-    levels = _coarsen_levels(problem.grid)
+    levels = _coarsen_levels(problem.grid.shape)
     fine_b = _boundary_only(problem)
     sub = tuple(
         slice(None, None, (f - 1) // (c - 1))
@@ -410,7 +491,10 @@ def newton_solve(
 
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
     res = (sigma2_interior(u, h) - 1.0).ravel()
-    norm = float(np.linalg.norm(res))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(res))
+    if not np.isfinite(norm):
+        raise ConfigError("boundary data too large: the residual norm of the first iterate overflows")
     history = [norm]
     if _min_u11(u, h) <= 0.0:
         raise EllipticityLost(
@@ -444,7 +528,7 @@ def newton_solve(
                 report(False, iters, False),
             )
         jac = assemble_jacobian(ScalarField(grid, u))
-        delta = _solve_sparse(jac, -res)
+        delta = _solve_sparse(jac, -res, grid)
         step = np.zeros_like(u)
         accepted = False
         saw_elliptic_trial = False

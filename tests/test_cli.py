@@ -253,3 +253,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "sigma2lab" in proc.stdout
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "sigma2lab.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_verify_with_zero_points_is_a_config_error():
+    proc = _run_module("verify", "--candidate", "counterexample", "--points", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("configuration error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_boundary_data_fails_with_a_message():
+    proc = _run_module(
+        "solve", "--candidate", "counterexample", "--grid", "3,-1..1,9", "--kappa", "1e300"
+    )
+    assert proc.returncode in (2, 3)
+    assert proc.stderr.startswith(("configuration error:", "solver failure:"))
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from sigma2lab import solver
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
 from sigma2lab.core_ops import Grid, ScalarField, second_diff, sigma2_interior
-from sigma2lab.errors import ConfigError, EllipticityLost, MaxIterExceeded, NotConvex
+from sigma2lab.errors import (
+    ConfigError,
+    EllipticityLost,
+    LinearSolveFailure,
+    MaxIterExceeded,
+    NotConvex,
+)
 from sigma2lab.solver import (
     DirichletProblem,
     assemble_jacobian,
@@ -72,6 +80,64 @@ def test_jacobian_matches_finite_difference():
 
 
 # ---------------------------------------------------------------------------
+# linear solves: multigrid-preconditioned GMRES and the sine-transform Poisson solve
+
+
+def _relres(mat, x, rhs):
+    return np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs)
+
+
+def test_multigrid_solve_matches_direct_solve_on_newton_path():
+    g = cube(-1.0, 1.0, 25)
+    assert len(solver._prolongations(g.shape)) == 2  # three levels: 7^3, 13^3, 25^3
+    u0 = solver._auto_init(DirichletProblem.from_candidate(g, Counterexample(0.25)))
+    J = assemble_jacobian(u0)
+    rhs = -assemble_residual(u0)  # the first Newton system
+    x = solver._solve_sparse(J, rhs, g)
+    direct = spla.splu(J.tocsc()).solve(rhs)
+    assert _relres(J, x, rhs) <= 1e-10
+    assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_even_node_grid_solves_on_one_level():
+    g = cube(-1.0, 1.0, 10)
+    assert solver._prolongations(g.shape) == ()
+    rng = np.random.default_rng(3)
+    u = ScalarField.sample(g, Quadratic.standard(3))
+    u.values += 0.01 * rng.normal(size=g.shape)
+    J = assemble_jacobian(u)
+    rhs = rng.normal(size=J.shape[0])
+    x = solver._solve_sparse(J, rhs, g)
+    assert _relres(J, x, rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [10, 25])
+def test_singular_jacobian_raises_linear_solve_failure(m):
+    g = cube(-1.0, 1.0, m)
+    J = assemble_jacobian(ScalarField(g, np.zeros(g.shape)))  # the zero matrix
+    with pytest.raises(LinearSolveFailure):
+        solver._solve_sparse(J, np.ones(J.shape[0]), g)
+
+
+def test_gmres_that_stops_short_fails_without_fallback(monkeypatch):
+    monkeypatch.setattr(solver, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(solver, "_GMRES_CYCLES", 1)
+    g = cube(-1.0, 1.0, 25)
+    J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
+    with pytest.raises(LinearSolveFailure, match="relative residual"):
+        solver._solve_sparse(J, np.ones(J.shape[0]), g)
+
+
+def test_sine_transform_poisson_solve_on_anisotropic_grid():
+    g = Grid(((-1.0, 2.0), (0.0, 0.5), (-3.0, 3.0)), (9, 12, 17))
+    load = np.random.default_rng(4).normal(size=g.interior_shape)
+    full = np.zeros(g.shape)
+    full[1:-1, 1:-1, 1:-1] = solver._dirichlet_poisson(g, load)
+    lap = sum(second_diff(full, a, g.spacing[a]) for a in range(3))
+    assert np.linalg.norm(lap - load) <= 1e-12 * np.linalg.norm(load)
+
+
+# ---------------------------------------------------------------------------
 # problem setup
 
 
@@ -122,6 +188,19 @@ def test_truncation_error_is_second_order():
     e_coarse = solve_err(9)
     e_fine = solve_err(17)
     assert 3.0 < e_coarse / e_fine < 5.0
+
+
+def test_truncation_error_is_second_order_down_to_h_0025():
+    """Interior max error at h = 0.05 (41^3) over h = 0.025 (81^3) is about 4."""
+    ce = Counterexample(0.25)
+    errors = []
+    for m in (41, 81):
+        g = cube(-1.0, 1.0, m)
+        rep = newton_solve(DirichletProblem.from_candidate(g, ce))
+        assert rep.converged
+        gap = np.abs(rep.solution.values - ScalarField.sample(g, ce).values)
+        errors.append(gap[1:-1, 1:-1, 1:-1].max())
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_he_form_keeps_constant_u11():
