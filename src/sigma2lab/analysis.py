@@ -334,6 +334,11 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
         x_spans = ((-1.0, 1.0),) * (dim - 1)
     if shape is None:
         shape = (17,) * (dim - 1)
+    if len(x_spans) != dim - 1 or len(shape) != dim - 1 or min(shape) < 5:
+        raise ConfigError(
+            f"need {dim - 1} transverse spans and {dim - 1} node counts of at least 5, "
+            f"got {len(x_spans)} spans and shape {tuple(shape)}"
+        )
     x_axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(x_spans, shape)]
     x_mesh = np.meshgrid(*x_axes, indexing="ij")
     x_pts = np.stack([g.ravel() for g in x_mesh], axis=-1)
@@ -373,20 +378,72 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
 
     z = np.linspace(z_span[0], z_span[1], z_count)
     zz = np.repeat(z, n_lines)
-    xx = np.tile(x_pts, (z_count, 1))
-    lo = np.full(zz.size, float(t_span[0]))
-    hi = np.full(zz.size, float(t_span[1]))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fmid = cand.eval_many(np.column_stack([mid, xx]), d1) - zz
-        above = fmid > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    t = 0.5 * (lo + hi)
-    pts = np.column_stack([t, xx])
-    t = t - (cand.eval_many(pts, d1) - zz) / cand.eval_many(pts, d2)
+    pts = np.empty((zz.size, dim))
+    pts[:, 1:] = np.tile(x_pts, (z_count, 1))
+    t = np.empty(zz.size)
+    # blocks of nodes bound the working memory; nodes do not interact
+    for start in range(0, zz.size, _ROOT_BLOCK):
+        block = slice(start, start + _ROOT_BLOCK)
+        t[block] = _legendre_roots(cand, pts[block], zz[block], t_span)
     out_grid = Grid((tuple(z_span), *tuple(tuple(s) for s in x_spans)), (z_count, *shape))
     return ScalarField(out_grid, t.reshape(out_grid.shape))
+
+
+# Newton steps are taken while they stay in the bracket and make progress;
+# after _NEWTON_ITERATIONS the nodes still open only bisect, so no node costs
+# more than twice the 60 halvings of plain bisection.
+_NEWTON_ITERATIONS = 60
+_BISECTIONS = 60
+_ROOT_RTOL = 1e-14
+_ROOT_BLOCK = 1 << 15
+
+
+def _legendre_roots(cand, pts: np.ndarray, zz: np.ndarray, t_span) -> np.ndarray:
+    """Safeguarded Newton for u_t(t, x) = z at every row of ``pts`` (t column
+    overwritten), then one Newton polish.
+
+    Each node keeps a bracket [lo, hi] from the sign of f = u_t - z.  The
+    Newton step t - f/u_tt is taken when it lands in the closed bracket and
+    either the bracket or the Newton update has at least halved over the
+    last two iterations; otherwise (or when the step is not finite) the node
+    bisects.  The test on the update keeps one-sided Newton convergence,
+    where the far end of the bracket never moves, from being interrupted.
+    A node is done once its update is at most 1e-14 * max(1, |t|); done
+    nodes keep their value, so rounding noise in f cannot move them again.
+    """
+    dim = pts.shape[1]
+    d1 = (1,) + (0,) * (dim - 1)
+    d2 = (2,) + (0,) * (dim - 1)
+    lo = np.full(zz.size, float(t_span[0]))
+    hi = np.full(zz.size, float(t_span[1]))
+    t = 0.5 * (lo + hi)
+    done = np.zeros(zz.size, dtype=bool)
+    width = [hi - lo, hi - lo]  # bracket widths two and one iterations ago
+    update = [np.full(zz.size, np.inf)] * 2
+    for it in range(_NEWTON_ITERATIONS + _BISECTIONS):
+        pts[:, 0] = t
+        f = cand.eval_many(pts, d1) - zz
+        above = f > 0.0
+        hi = np.where(above, t, hi)
+        lo = np.where(above, lo, t)
+        t_next = 0.5 * (lo + hi)
+        if it < _NEWTON_ITERATIONS:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = t - f / cand.eval_many(pts, d2)
+            # non-strict: a converged step equals the bracket end it came from
+            newton = (step >= lo) & (step <= hi)
+            newton &= (hi - lo <= 0.5 * width[0]) | (np.abs(step - t) <= 0.5 * update[0])
+            t_next = np.where(newton, step, t_next)
+        t_next = np.where(done, t, t_next)
+        change = np.abs(t_next - t)
+        width = [width[1], hi - lo]
+        update = [update[1], change]
+        t = t_next
+        done |= change <= _ROOT_RTOL * np.maximum(1.0, np.abs(t))
+        if done.all():
+            break
+    pts[:, 0] = t
+    return t - (cand.eval_many(pts, d1) - zz) / cand.eval_many(pts, d2)
 
 
 def partial_legendre(
@@ -401,9 +458,9 @@ def partial_legendre(
 
     ScalarField sources use their own grid (t_span/x_spans/shape are ignored)
     and per-line monotone interpolation of the central-difference u_t;
-    candidate sources use vectorized bisection on [t_span] plus one Newton
-    polish.  The default z-range is the intersection of the attained ranges
-    over all x-lines, shrunk 5% per side.
+    candidate sources use vectorized safeguarded Newton on [t_span] plus
+    one Newton polish.  The default z-range is the intersection of the
+    attained ranges over all x-lines, shrunk 5% per side.
     """
     if isinstance(source, ScalarField):
         return _legendre_from_field(source, z_span, z_count)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -252,27 +253,26 @@ def cmd_curvature(args) -> int:
         dets = dets * 16.0
     spread = float(np.abs(dets - target).max())
     probes = (
-        [np.array([float(v) for v in p.split(",")]) for p in args.points.split(";")]
+        [_parse_vector(p) for p in args.points.split(";")]
         if args.points
         else [np.array([0.0, 0.0, 1.0, 0.0])]
     )
-    details = []
-    for p in probes:
-        if p.shape != (4,):
-            raise ConfigError("each probe point needs 4 coordinates t,s,x,y")
-        met = kahler.complex_hessian(cand, kahler.ComplexPoint(*p))
-        ric = kahler.ricci(cand, kahler.ComplexPoint(*p))
-        rnorm = kahler.riemann_norm(cand, kahler.ComplexPoint(*p))
-        details.append(
-            {
-                "point": p.tolist(),
-                "g": met.g,
-                "det_g": met.det,
-                "ricci": ric,
-                "ricci_max_abs": float(np.abs(ric).max()),
-                "riemann_norm_sq": rnorm,
-            }
+    if any(p.shape != (4,) for p in probes):
+        raise ConfigError("each probe point needs 4 coordinates t,s,x,y")
+    curv = kahler.curvature(cand, np.array(probes))
+    details = [
+        {
+            "point": p.tolist(),
+            "g": g,
+            "det_g": float(det),
+            "ricci": ric,
+            "ricci_max_abs": float(np.abs(ric).max()),
+            "riemann_norm_sq": float(rnorm),
+        }
+        for p, g, det, ric, rnorm in zip(
+            probes, curv["g"], curv["det_g"], curv["ricci"], curv["riemann_norm_sq"]
         )
+    ]
     checks = [_check("det_constancy", spread, args.tol, spread <= args.tol)]
     payload = {
         "convention": "rescaled" if args.rescaled else "raw",
@@ -359,7 +359,10 @@ def cmd_legendre(args) -> int:
     if args.x_spans:
         kwargs["x_spans"] = tuple(_parse_span(s) for s in args.x_spans.split(","))
     if args.shape:
-        kwargs["shape"] = tuple(int(v) for v in args.shape.split(","))
+        try:
+            kwargs["shape"] = tuple(int(v) for v in args.shape.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad --shape {args.shape!r}, expected node counts 'm2,m3'") from exc
     if args.z_span:
         kwargs["z_span"] = _parse_span(args.z_span)
     if args.z_count:
@@ -563,9 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

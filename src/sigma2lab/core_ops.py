@@ -174,7 +174,10 @@ class ScalarField:
         if meta.get("byte_order") != "little":
             raise ConfigError(f"unsupported byte order {meta.get('byte_order')!r}")
         grid = Grid(tuple(tuple(b) for b in meta["bounds"]), tuple(meta["resolution"]))
-        raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
+        try:
+            raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read field payload {bin_path}: {exc}") from exc
         if raw.size != grid.n_nodes:
             raise ConfigError(
                 f"payload has {raw.size} values, header promises {grid.n_nodes}"

@@ -13,8 +13,10 @@ only in the test oracles, never here.
 
 Normalization: with this convention det(g) = sigma2_tilde(D^2 u) / 16, so a
 solution of the real equation has det(g) = 1/16; the potential 4u has
-det = 1.  ``ma_residual`` exposes both readings.  ``riemann_norm`` returns
-the squared norm |Rm|^2 of the curvature tensor.
+det = 1.  ``ma_residual`` exposes both readings.  ``curvature`` returns g,
+det g, Ricci and the squared norm |Rm|^2 of the curvature tensor at many
+points from one metric evaluation; ``ricci``, ``riemann_tensor`` and
+``riemann_norm`` are its single-point readings.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "riemann_tensor",
     "riemann_norm",
     "metric_batch",
+    "curvature",
 ]
 
 
@@ -65,6 +68,8 @@ def _points4(p) -> np.ndarray:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ConfigError(f"expected points (t, s, x, y) of shape (N, 4), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError("point coordinates must be finite")
     return pts
 
 
@@ -245,9 +250,7 @@ def _ricci_batch(data: dict[str, np.ndarray]) -> np.ndarray:
 
 def ricci(potential, p) -> np.ndarray:
     """Ricci tensor R_{ij} at p as a 2x2 complex matrix (zero for solutions)."""
-    data = metric_batch(potential, p)
-    _require_pd(data["g"], data["points"])
-    return _ricci_batch(data)[0]
+    return curvature(potential, p)["ricci"][0]
 
 
 def _riemann_batch(data: dict[str, np.ndarray]) -> np.ndarray:
@@ -263,21 +266,44 @@ def _riemann_batch(data: dict[str, np.ndarray]) -> np.ndarray:
 
 def riemann_tensor(potential, p) -> np.ndarray:
     """Curvature tensor R_{i jbar k lbar} at p, shape (2, 2, 2, 2)."""
-    data = metric_batch(potential, p)
-    _require_pd(data["g"], data["points"])
-    return _riemann_batch(data)[0]
+    return curvature(potential, p)["riemann"][0]
 
 
 def riemann_norm(potential, p) -> float:
     """Squared curvature norm |Rm|^2 at p (vanishes exactly on flat metrics)."""
-    data = metric_batch(potential, p)
-    _require_pd(data["g"], data["points"])
+    return float(curvature(potential, p)["riemann_norm_sq"][0])
+
+
+def curvature(potential, points) -> dict[str, np.ndarray]:
+    """Metric and curvature at many points from one ``metric_batch`` call.
+
+    Returns ``points`` (N, 4), ``g`` (N, 2, 2), ``det_g`` (N,) real,
+    ``ricci`` (N, 2, 2), ``riemann`` (N, 2, 2, 2, 2) and ``riemann_norm_sq``
+    (N,), where |Rm|^2 values in (-1e-10, 0) are rounding noise of a flat
+    metric and read 0.  Raises if the metric is not positive definite at
+    any point.
+    """
+    data = metric_batch(potential, points)
+    g = data["g"]
+    _require_pd(g, data["points"])
     rm = _riemann_batch(data)
-    gup = np.swapaxes(np.linalg.inv(data["g"]), -1, -2)
-    val = np.einsum(
+    return {
+        "points": data["points"],
+        "g": g,
+        "det_g": _det(g).real,
+        "ricci": _ricci_batch(data),
+        "riemann": rm,
+        "riemann_norm_sq": _riemann_norm_sq(g, rm),
+    }
+
+
+def _riemann_norm_sq(g: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    """|Rm|^2 = g^{ia} g^{bj} g^{kc} g^{dl} R_{a jbar c lbar} conj(R_{i bbar k dbar}).
+
+    Values in (-1e-10, 0) are rounding noise around a flat metric and read 0.
+    """
+    gup = np.swapaxes(np.linalg.inv(g), -1, -2)
+    norm = np.einsum(
         "nia,nbj,nkc,ndl,najcl,nibkd->n", gup, gup, gup, gup, rm, np.conj(rm)
-    )[0]
-    out = float(val.real)
-    if out < 0.0 and out > -1e-10:
-        out = 0.0
-    return out
+    ).real
+    return np.where((norm < 0.0) & (norm > -1e-10), 0.0, norm)

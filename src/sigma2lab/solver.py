@@ -30,7 +30,7 @@ exactly by the type-1 discrete sine transform (Buzbee, Golub & Nielson
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,19 +265,23 @@ def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
             raise LinearSolveFailure("Jacobi smoother needs a finite, nonzero diagonal")
         weights.append(_JACOBI_WEIGHT / diag)
 
-    def cycle(level: int, rhs: np.ndarray) -> np.ndarray:
-        if level == 0:
-            return coarsest.solve(rhs)
-        A, w, P = ops[level], weights[level - 1], prolongs[level - 1]
-        x = w * rhs  # first pre-smoothing sweep, from zero
-        for _ in range(_SMOOTHING_SWEEPS - 1):
-            x += w * (rhs - A @ x)
-        x += P @ cycle(level - 1, P.T @ (rhs - A @ x))
-        for _ in range(_SMOOTHING_SWEEPS):
-            x += w * (rhs - A @ x)
-        return x
+    # a module-level function, not a recursive closure: a closure that calls
+    # itself is a reference cycle, and would keep the whole hierarchy (the
+    # fine Jacobian included) alive until the cyclic garbage collector runs
+    return partial(_cycle, ops, weights, prolongs, coarsest, len(ops) - 1)
 
-    return lambda rhs: cycle(len(ops) - 1, rhs)
+
+def _cycle(ops, weights, prolongs, coarsest, level: int, rhs: np.ndarray) -> np.ndarray:
+    if level == 0:
+        return coarsest.solve(rhs)
+    A, w, P = ops[level], weights[level - 1], prolongs[level - 1]
+    x = w * rhs  # first pre-smoothing sweep, from zero
+    for _ in range(_SMOOTHING_SWEEPS - 1):
+        x += w * (rhs - A @ x)
+    x += P @ _cycle(ops, weights, prolongs, coarsest, level - 1, P.T @ (rhs - A @ x))
+    for _ in range(_SMOOTHING_SWEEPS):
+        x += w * (rhs - A @ x)
+    return x
 
 
 def _solve_sparse(mat: sp.csr_matrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -314,15 +318,13 @@ def _dirichlet_poisson(grid: Grid, load: np.ndarray) -> np.ndarray:
     return idstn(dstn(load, type=1) / eig, type=1)
 
 
-def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, ScalarField]:
-    """Laplace solve with the problem's boundary data, calibrated by a constant load.
+def _laplace_family(problem: DirichletProblem):
+    """The one-parameter family u_c = u_harm + c * w and its calibrated roots.
 
-    Builds u_c = u_harm + c * w where Lap_h(u_harm) = 0 (given data) and
-    Lap_h(w) = 1 (zero data).  The mean discrete operator value of u_c is an
-    exact quadratic in c; if a root keeps u_tt > 0 the calibrated field is
-    returned as the first element.  The second element is an "entry" field
-    with u_tt > 0 found by marching c past a root (used as a homotopy seed
-    when no root is elliptic); None/entry accordingly.
+    Lap_h(u_harm) = 0 with the problem's boundary data and Lap_h(w) = 1 with
+    zero data.  The mean discrete operator value of u_c is an exact quadratic
+    in c; returns u_harm, w, the real roots of (mean value - 1) and the cone
+    margin c -> min u_tt of u_c.
     """
     grid = problem.grid
     h = grid.spacing
@@ -349,14 +351,36 @@ def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, 
     roots = [r.real for r in np.roots([a2, a1, f0]) if abs(r.imag) <= 1e-9 * (1 + abs(r.real))]
     if not roots:
         roots = [-a1 / (2.0 * a2)] if a2 != 0.0 else [0.0]
+    return harm, w, roots, margin
+
+
+def _elliptic_root(roots, margin) -> float | None:
+    """The calibrated root with the largest u_tt margin, if any keeps u_tt > 0."""
     elliptic_roots = [c for c in roots if margin(c) > 0.0]
-    if elliptic_roots:
-        best = max(elliptic_roots, key=margin)
-        return ScalarField(grid, harm + best * w), ScalarField(grid, harm + best * w)
-    # No calibrated root is elliptic.  March c away from each root until
-    # min u_tt goes positive, then back off by bisection to a gentle margin;
-    # the result seeds the boundary-amplitude homotopy in newton_solve's
-    # auto path.
+    return max(elliptic_roots, key=margin) if elliptic_roots else None
+
+
+def _laplace_calibrated(problem: DirichletProblem) -> ScalarField | None:
+    """The calibrated Laplace field u_c (see ``_laplace_family``) if a root is elliptic."""
+    harm, w, roots, margin = _laplace_family(problem)
+    c = _elliptic_root(roots, margin)
+    return None if c is None else ScalarField(problem.grid, harm + c * w)
+
+
+def _cone_entry(problem: DirichletProblem) -> ScalarField:
+    """A member of the calibrated family with u_tt > 0: the elliptic root if
+    there is one, else the result of ``_march_into_cone``."""
+    harm, w, roots, margin = _laplace_family(problem)
+    c = _elliptic_root(roots, margin)
+    if c is None:
+        c = _march_into_cone(roots, margin)
+    return ScalarField(problem.grid, harm + c * w)
+
+
+def _march_into_cone(roots, margin) -> float:
+    """March c away from each root until min u_tt goes positive, then back off
+    by bisection to a gentle margin; the entry closest to a root seeds the
+    boundary-amplitude homotopy in newton_solve's auto path."""
     best_entry, best_dist = None, np.inf
     for r in sorted(roots):
         for sign in (1.0, -1.0):
@@ -380,7 +404,7 @@ def _laplace_calibrated(problem: DirichletProblem) -> tuple[ScalarField | None, 
                 step *= 2.0
     if best_entry is None:
         raise EllipticityLost("auto initialization cannot reach u_tt > 0 for this data")
-    return None, ScalarField(grid, harm + best_entry * w)
+    return best_entry
 
 
 def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -428,7 +452,7 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
     """Starting field for Newton: calibrated Laplace solve, with a coarse-grid
     amplitude homotopy plus dyadic refinement when the calibration cannot stay
     in the u_tt > 0 cone."""
-    calibrated, entry = _laplace_calibrated(problem)
+    calibrated = _laplace_calibrated(problem)
     if calibrated is not None:
         return calibrated
     levels = _coarsen_levels(problem.grid.shape)
@@ -440,8 +464,7 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
     coarse_grid = Grid(problem.grid.bounds, levels[0])
     coarse_b = ScalarField(coarse_grid, fine_b[sub])
     coarse_prob = DirichletProblem(coarse_grid, coarse_b)
-    _, coarse_entry = _laplace_calibrated(coarse_prob)
-    u = _amplitude_homotopy(coarse_prob, coarse_entry)
+    u = _amplitude_homotopy(coarse_prob, _cone_entry(coarse_prob))
     for shape in levels[1:]:
         g = Grid(problem.grid.bounds, shape)
         stride = tuple((f - 1) // (c - 1) for f, c in zip(problem.grid.shape, shape))
@@ -452,8 +475,7 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
         level_prob = DirichletProblem(g, b)
         if _min_u11(vals, g.spacing) <= 0.0:
             # prolongation seam broke the cone: redo the homotopy at this level
-            _, level_entry = _laplace_calibrated(level_prob)
-            u = _amplitude_homotopy(level_prob, level_entry)
+            u = _amplitude_homotopy(level_prob, _cone_entry(level_prob))
             vals = u.values
         if shape == problem.grid.shape:
             return ScalarField(g, vals)

@@ -175,6 +175,52 @@ def test_legendre_round_trip_counterexample():
     assert np.abs(z_back - pts[:, 0]).max() <= 1e-10
 
 
+class _SteepTanh:
+    """u_t = 5 tanh(5t) + t/100 on every x-line: nearly flat away from t = 0,
+    so a plain Newton step from the midpoint of [-1, 2] lands far outside."""
+
+    dim = 3
+    calls = 0
+
+    def eval_many(self, points, index):
+        self.calls += 1
+        t = np.asarray(points)[:, 0]
+        if index == (1, 0, 0):
+            return 5.0 * np.tanh(5.0 * t) + t / 100.0
+        if index == (2, 0, 0):
+            return 25.0 / np.cosh(5.0 * t) ** 2 + 1.0 / 100.0
+        raise AssertionError(f"unexpected derivative {index}")
+
+
+def test_legendre_safeguarded_newton_matches_bisection():
+    stub = _SteepTanh()
+    t_span = (-1.0, 2.0)
+    mid = np.array([[0.5 * sum(t_span)]])
+    newton = mid - stub.eval_many(mid, (1, 0, 0)) / stub.eval_many(mid, (2, 0, 0))
+    assert newton[0, 0] < t_span[0]  # plain Newton for z = 0 leaves the bracket
+    stub.calls = 0
+    theta = partial_legendre(stub, t_span=t_span, shape=(5, 5), z_count=41)
+    # 60 bisection steps alone would take 60 calls; the safeguarded Newton
+    # loop takes two per iteration (u_t, u_tt) and 5 more for probes and polish
+    assert stub.calls <= 45
+    pts = theta.grid.points()
+    z = pts[:, 0]
+    # reference: 60 bisections on the same bracket plus one Newton polish
+    lo = np.full(z.size, t_span[0])
+    hi = np.full(z.size, t_span[1])
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        above = stub.eval_many(t[:, None], (1, 0, 0)) - z > 0.0
+        hi = np.where(above, t, hi)
+        lo = np.where(above, lo, t)
+    t = 0.5 * (lo + hi)
+    t = t - (stub.eval_many(t[:, None], (1, 0, 0)) - z) / stub.eval_many(t[:, None], (2, 0, 0))
+    got = theta.values.ravel()
+    assert np.abs(got - t).max() <= 1e-13
+    z_back = stub.eval_many(np.column_stack([got, pts[:, 1:]]), (1, 0, 0))
+    assert np.abs(z_back - z).max() <= 1e-13
+
+
 def test_legendre_harmonicity_refines_at_second_order():
     """theta of the counterexample is genuinely curved, so its discrete
     Laplacian is pure truncation error and must shrink ~4x per refinement."""

@@ -278,3 +278,53 @@ def test_overflowing_boundary_data_fails_with_a_message():
     assert proc.stderr.startswith(("configuration error:", "solver failure:"))
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _assert_config_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("configuration error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_field_with_missing_payload_is_a_config_error(tmp_path):
+    g = Grid(((-1.0, 1.0),) * 3, (5, 5, 5))
+    ScalarField.sample(g, Quadratic.standard(3)).save(tmp_path / "q")
+    (tmp_path / "q.fld.bin").unlink()
+    _assert_config_error(_run_module("classify", "--field", str(tmp_path / "q")))
+
+
+def test_non_numeric_probe_point_is_a_config_error():
+    _assert_config_error(
+        _run_module("curvature", "--candidate", "counterexample", "--points", "0,0,x,0")
+    )
+
+
+@pytest.mark.parametrize("shape", ["a,3", "0,3", "9"])
+def test_bad_legendre_shape_is_a_config_error(shape):
+    _assert_config_error(
+        _run_module("legendre", "--candidate", "counterexample", "--shape", shape)
+    )
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; no state may carry between calls
+    calls = [
+        ["verify", "--candidate", "counterexample", "--points", "300", "--out", str(tmp_path / "v")],
+        ["curvature", "--candidate", "counterexample", "--sample", "50",
+         "--points", "0,0,1,0;0.2,0.1,-0.3,0.5", "--rescaled"],
+        ["verify", "--candidate", "counterexample", "--kappa", "0.9", "--points", "20"],
+        ["curvature", "--candidate", "counterexample", "--sample", "40"],
+        ["legendre", "--candidate", "quadratic", "--shape", "5,5", "--z-count", "9",
+         "--out", str(tmp_path / "l")],
+        ["verify", "--candidate", "counterexample"],
+        ["barrier", "--candidate", "quadratic", "--level", "0.5", "--seed", "3"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    for argv, (code, out) in zip(calls, in_process):
+        proc = _run_module(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv

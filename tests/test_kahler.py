@@ -196,3 +196,30 @@ def test_riemann_norm_positive_and_s_invariant():
     b = riemann_norm(pert, (0.0, 5.0, 1.0, 0.0))
     assert a > 1.0
     assert a == pytest.approx(b, rel=1e-13)
+
+
+@pytest.mark.parametrize("potential", [control_potential(), Counterexample(0.25)])
+def test_batched_curvature_equals_single_point_readings(potential):
+    pts4 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 4))
+    curv = kahler.curvature(potential, pts4)
+    for n, p in enumerate(pts4):
+        met = complex_hessian(potential, p)
+        assert np.array_equal(curv["g"][n], met.g)
+        assert curv["det_g"][n] == met.det
+        assert np.array_equal(curv["ricci"][n], ricci(potential, p))
+        assert np.array_equal(curv["riemann"][n], riemann_tensor(potential, p))
+        # riemann_norm applies the (-1e-10, 0) -> 0 clamp
+        single = riemann_norm(potential, p)
+        assert curv["riemann_norm_sq"][n] == single
+        assert np.signbit(curv["riemann_norm_sq"][n]) == np.signbit(single)
+
+
+def test_riemann_norm_clamps_rounding_noise_only():
+    # g = diag(e^{i pi/4}, 1) turns the single entry |R_0000|^2 into -|R_0000|^2
+    g = np.array([np.diag([np.exp(0.25j * np.pi), 1.0])] * 3)
+    rm = np.zeros((3, 2, 2, 2, 2), dtype=complex)
+    rm[:, 0, 0, 0, 0] = np.sqrt([1e-11, 1e-9, 0.0])
+    norm = kahler._riemann_norm_sq(g, rm)
+    assert norm[0] == 0.0
+    assert norm[1] == pytest.approx(-1e-9, rel=1e-12)
+    assert norm[2] == 0.0

@@ -190,6 +190,7 @@ def test_truncation_error_is_second_order():
     assert 3.0 < e_coarse / e_fine < 5.0
 
 
+@pytest.mark.slow
 def test_truncation_error_is_second_order_down_to_h_0025():
     """Interior max error at h = 0.05 (41^3) over h = 0.025 (81^3) is about 4."""
     ce = Counterexample(0.25)
