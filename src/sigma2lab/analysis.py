@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
-from .core_ops import Grid, ScalarField, SymMatrix, second_diff, sigma2_tilde
+from .core_ops import Grid, ScalarField, fd_hessian, laplacian, second_diff, sigma2_tilde
 from .errors import (
     ConfigError,
     NoInteriorPoint,
@@ -49,19 +49,24 @@ class EllipsoidMap:
     matrix entering the barrier bound.
     """
 
-    M: SymMatrix
+    M: np.ndarray
     center: np.ndarray
 
     def __post_init__(self):
-        full = self.M.full()
+        M = np.asarray(self.M, dtype=float)
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.center.shape != (self.M.dim,):
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ConfigError(f"expected a square matrix, got shape {M.shape}")
+        if not np.array_equal(M, M.T):
+            raise ConfigError("ellipsoid matrix is not symmetric")
+        if self.center.shape != (self.dim,):
             raise ConfigError(
-                f"center has shape {self.center.shape}, expected ({self.M.dim},)"
+                f"center has shape {self.center.shape}, expected ({self.dim},)"
             )
         if not np.all(np.isfinite(self.center)):
             raise ConfigError("ellipsoid center must be finite")
-        eigs = np.linalg.eigvalsh(full)
+        eigs = np.linalg.eigvalsh(M)
         if eigs.min() <= 0.0:
             raise NotPositiveDefinite(
                 f"ellipsoid matrix has eigenvalue {eigs.min():.6g} <= 0"
@@ -69,21 +74,20 @@ class EllipsoidMap:
 
     @property
     def dim(self) -> int:
-        return self.M.dim
+        return self.M.shape[0]
 
-    def shape_matrix(self) -> SymMatrix:
-        full = self.M.full()
-        return SymMatrix.from_full(full @ full)
+    def shape_matrix(self) -> np.ndarray:
+        return self.M @ self.M
 
     def boundary_points(self, count: int = _CONTAIN_SAMPLES, seed: int = _CONTAIN_SEED) -> np.ndarray:
         """Deterministic sample of E's boundary: x = center + M^{-1} s, |s| = 1."""
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((count, self.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return self.center + np.linalg.solve(self.M.full(), dirs.T).T
+        return self.center + np.linalg.solve(self.M, dirs.T).T
 
     def scaled(self, s: float) -> "EllipsoidMap":
-        return EllipsoidMap(SymMatrix.from_full(s * self.M.full()), self.center)
+        return EllipsoidMap(s * self.M, self.center)
 
 
 def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
@@ -93,7 +97,7 @@ def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
         g = candidate.gradient(x)
         if np.abs(g).max() <= 1e-10:
             return x
-        H = candidate.hessian(x).full()
+        H = candidate.hessian(x)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -169,42 +173,17 @@ class SublevelSet:
             pts = np.asarray(pts, dtype=float)
             return candidate.eval_many(pts) - u0 - (pts - xstar) @ g0
 
-        crossings = []
-        samples = []
-        for k in range(dim):
-            per_dir = []
-            for sign in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[k] = sign
-
-                def along(s, e=e):
-                    return float(value((xstar + s * e)[None, :])[0])
-
-                s = _axis_crossing(along, h, f"axis {k} ({'+' if sign > 0 else '-'})")
-                per_dir.append(s)
-                samples.append(xstar + s * e)
-            crossings.append(min(per_dir))
-        return cls(
-            h=float(h),
-            dim=dim,
-            minimizer=xstar,
-            intercepts=np.array(crossings),
-            boundary_samples=np.array(samples),
-            value=value,
-        )
+        return cls._from_value(value, xstar, h)
 
     @classmethod
     def from_field(cls, fld: ScalarField, h: float) -> "SublevelSet":
         if h <= 0.0:
             raise NoInteriorPoint(f"level h = {h} admits no interior point (min u = 0)")
         grid = fld.grid
-        dim = grid.dim
-        from .core_ops import fd_hessian
-
         idx_min = np.unravel_index(np.argmin(fld.values), grid.shape)
         if any(i == 0 or i == m - 1 for i, m in zip(idx_min, grid.shape)):
             raise NoInteriorPoint("discrete minimizer sits on the boundary of the grid")
-        eigs = np.linalg.eigvalsh(fd_hessian(fld, idx_min).full())
+        eigs = np.linalg.eigvalsh(fd_hessian(fld, idx_min))
         if eigs.min() < -1e-8:
             raise NotConvex(
                 f"fd Hessian eigenvalue {eigs.min():.3e} < 0 at the discrete minimizer"
@@ -225,6 +204,12 @@ class SublevelSet:
                 out[inside] = interp(pts[inside])
             return out
 
+        return cls._from_value(value, xstar, h)
+
+    @classmethod
+    def _from_value(cls, value, xstar: np.ndarray, h: float) -> "SublevelSet":
+        """The set {value <= h} around its minimizer ``xstar``, by axis crossings."""
+        dim = xstar.size
         crossings = []
         samples = []
         for k in range(dim):
@@ -253,10 +238,11 @@ class SublevelSet:
 def inscribe_ellipsoid(K: SublevelSet, samples: int = _CONTAIN_SAMPLES) -> EllipsoidMap:
     """Ellipsoid inside K_h: diagonal seed from the axis intercepts, then the
     smallest uniform shrink factor s >= 1 certified on sampled boundary points."""
+    if samples < 1:
+        raise ConfigError(f"need at least one sample point, got {samples}")
     if np.any(K.intercepts <= 0.0) or not np.all(np.isfinite(K.intercepts)):
         raise NoInteriorPoint("degenerate axis intercepts; K_h has empty interior")
-    m0 = SymMatrix.from_full(np.diag(1.0 / K.intercepts))
-    seed = EllipsoidMap(m0, K.minimizer)
+    seed = EllipsoidMap(np.diag(1.0 / K.intercepts), K.minimizer)
     tol = 1e-12 * max(1.0, abs(K.h))
 
     def contained(s: float) -> bool:
@@ -469,10 +455,7 @@ def partial_legendre(
 
 def harmonicity_test(theta: ScalarField) -> float:
     """Max absolute discrete Laplacian (over all variables) at interior nodes."""
-    lap = second_diff(theta.values, 0, theta.grid.spacing[0])
-    for a in range(1, theta.grid.dim):
-        lap = lap + second_diff(theta.values, a, theta.grid.spacing[a])
-    return float(np.abs(lap).max())
+    return float(np.abs(laplacian(theta.values, theta.grid.spacing)).max())
 
 
 def _he_extract_candidate(cand, box, samples_per_axis):

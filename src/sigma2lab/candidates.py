@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _ddouble as dd
-from .core_ops import SymMatrix, sigma2_tilde
+from .core_ops import sigma2_tilde
 from .errors import ConfigError, DegreeTooHigh, UnsupportedOrder
 
 __all__ = [
@@ -273,8 +273,8 @@ class CandidateSolution:
             out[i] = self._eval_many(pts, tuple(e))[0]
         return out
 
-    def hessian(self, point) -> SymMatrix:
-        return SymMatrix.from_full(self.hessian_many(point)[0])
+    def hessian(self, point) -> np.ndarray:
+        return self.hessian_many(point)[0]
 
     def hessian_many(self, points) -> np.ndarray:
         pts = _check_points(points, self.dim)
@@ -601,17 +601,20 @@ def candidate_from_dict(data: dict) -> CandidateSolution:
         variant = data["variant"]
     except (TypeError, KeyError) as exc:
         raise ConfigError("candidate description lacks a 'variant' key") from exc
-    if variant == "quadratic":
-        return Quadratic(np.asarray(data["A"], dtype=float),
-                         np.asarray(data.get("b", [0.0] * len(data["A"])), dtype=float),
-                         float(data.get("c", 0.0)))
-    if variant == "counterexample":
-        return Counterexample(float(data.get("kappa", 0.25)))
-    if variant == "he_form":
-        nvars = int(data["nvars"])
-        b = Poly.from_dict(nvars, data["b"])
-        g = Poly.from_dict(nvars, data["g"])
-        return HeForm(float(data["a"]), b, g)
+    try:
+        if variant == "quadratic":
+            return Quadratic(np.asarray(data["A"], dtype=float),
+                             np.asarray(data.get("b", [0.0] * len(data["A"])), dtype=float),
+                             float(data.get("c", 0.0)))
+        if variant == "counterexample":
+            return Counterexample(float(data.get("kappa", 0.25)))
+        if variant == "he_form":
+            nvars = int(data["nvars"])
+            b = Poly.from_dict(nvars, data["b"])
+            g = Poly.from_dict(nvars, data["g"])
+            return HeForm(float(data["a"]), b, g)
+    except (TypeError, KeyError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed {variant!r} candidate description: {exc!r}") from exc
     raise ConfigError(f"unknown candidate variant {variant!r}")
 
 

@@ -306,8 +306,7 @@ def cmd_solve(args) -> int:
 
 def cmd_rigidity(args) -> int:
     cand = _load_candidate(args)
-    sizes = tuple(float(s) for s in args.sizes.split(","))
-    rows = rigidity_sweep(cand, eps=args.eps, sizes=sizes, h=args.h, tol=args.tol)
+    rows = rigidity_sweep(cand, eps=args.eps, sizes=_parse_vector(args.sizes), h=args.h, tol=args.tol)
     converged = [r for r in rows if r["converged"]]
     oscs = [r["osc_u11_inner"] for r in converged]
     non_increasing = all(b <= a * (1 + 1e-12) for a, b in zip(oscs, oscs[1:]))
@@ -339,7 +338,7 @@ def cmd_barrier(args) -> int:
         "level": args.level,
         "intercepts": K.intercepts,
         "minimizer": K.minimizer,
-        "ellipsoid_matrix": E.M.full(),
+        "ellipsoid_matrix": E.M,
         "barrier": rep,
     }
     _write_csv(
@@ -420,7 +419,9 @@ def cmd_convergence(args) -> int:
     cand = _load_candidate(args)
     dim = cand.dim
     span = _parse_span(args.box) if args.box else (-1.0, 1.0)
-    h_values = [float(v) for v in args.h_list.split(",")]
+    h_values = _parse_vector(args.h_list)
+    if not np.all(np.isfinite(h_values) & (h_values > 0.0)):
+        raise ConfigError(f"--h-list spacings must be finite and positive, got {args.h_list!r}")
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
         raise ConfigError("--h-list must be strictly decreasing")
     rows = []

@@ -11,7 +11,9 @@ invariant under rotations of the transverse block and quadratic in H, and
 its derivative at H is contraction with the matrix returned by
 ``sigma2_linearization``.
 
-All finite differences are second-order central stencils on uniform grids.
+All finite differences are second-order central stencils on uniform grids;
+``laplacian``, ``hessian_parts`` and ``sigma2_interior`` are the whole-box
+combinations of them that the solver and the analysis probes share.
 Fields are serialized as a JSON header plus a raw little-endian float64
 payload (extension pair ``.fld.json`` / ``.fld.bin``).
 """
@@ -29,14 +31,14 @@ from .errors import BoundaryNode, ConfigError
 __all__ = [
     "Grid",
     "ScalarField",
-    "SymMatrix",
     "sigma2_tilde",
     "sigma2_linearization",
-    "fd_gradient",
     "fd_hessian",
     "shifted",
     "second_diff",
     "cross_diff",
+    "laplacian",
+    "hessian_parts",
     "sigma2_interior",
 ]
 
@@ -194,56 +196,7 @@ def _strip_field_suffix(path: str | Path) -> Path:
     return Path(s)
 
 
-class SymMatrix:
-    """Symmetric n x n matrix stored as its packed upper triangle."""
-
-    __slots__ = ("_n", "_packed")
-
-    def __init__(self, packed, dim: int):
-        packed = np.asarray(packed, dtype=float)
-        if packed.shape != (dim * (dim + 1) // 2,):
-            raise ConfigError("packed data has wrong length")
-        self._n = dim
-        self._packed = packed
-
-    @classmethod
-    def from_full(cls, full, atol: float = 1e-10) -> "SymMatrix":
-        a = np.asarray(full, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-        if not np.allclose(a, a.T, atol=atol, rtol=0.0):
-            raise ConfigError("matrix is not symmetric")
-        n = a.shape[0]
-        sym = 0.5 * (a + a.T)
-        packed = sym[np.triu_indices(n)]
-        return cls(packed, n)
-
-    @classmethod
-    def diag(cls, values) -> "SymMatrix":
-        return cls.from_full(np.diag(np.asarray(values, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return self._n
-
-    def full(self) -> np.ndarray:
-        a = np.zeros((self._n, self._n))
-        iu = np.triu_indices(self._n)
-        a[iu] = self._packed
-        a = a + np.triu(a, 1).T
-        return a
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        i, j = key
-        return float(self.full()[i, j])
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self.full().tolist()})"
-
-
 def _as_matrix(H) -> np.ndarray:
-    if isinstance(H, SymMatrix):
-        return H.full()
     a = np.asarray(H, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise ConfigError(f"expected a square matrix of dimension >= 2, got shape {a.shape}")
@@ -256,7 +209,7 @@ def sigma2_tilde(H) -> float:
     return float(a[0, 0] * np.trace(a[1:, 1:]) - np.sum(a[0, 1:] ** 2))
 
 
-def sigma2_linearization(H) -> SymMatrix:
+def sigma2_linearization(H) -> np.ndarray:
     """Matrix C with d/ds sigma2_tilde(H + sV)|_{s=0} = sum_ij C_ij V_ij.
 
     C is positive definite exactly when H[0,0] > 0 and sigma2_tilde(H) > 0,
@@ -269,7 +222,7 @@ def sigma2_linearization(H) -> SymMatrix:
     for i in range(1, n):
         c[i, i] = a[0, 0]
         c[0, i] = c[i, 0] = -a[0, i]
-    return SymMatrix.from_full(c)
+    return c
 
 
 def _require_interior(field: ScalarField, node: tuple[int, ...]) -> None:
@@ -281,23 +234,7 @@ def _require_interior(field: ScalarField, node: tuple[int, ...]) -> None:
         raise BoundaryNode(f"node {node} is on the boundary")
 
 
-def fd_gradient(field: ScalarField, node: tuple[int, ...]) -> np.ndarray:
-    """Central-difference gradient at an interior node."""
-    _require_interior(field, node)
-    u = field.values
-    h = field.grid.spacing
-    node = tuple(node)
-    out = np.empty(field.grid.dim)
-    for axis in range(field.grid.dim):
-        plus = list(node)
-        minus = list(node)
-        plus[axis] += 1
-        minus[axis] -= 1
-        out[axis] = (u[tuple(plus)] - u[tuple(minus)]) / (2.0 * h[axis])
-    return out
-
-
-def fd_hessian(field: ScalarField, node: tuple[int, ...]) -> SymMatrix:
+def fd_hessian(field: ScalarField, node: tuple[int, ...]) -> np.ndarray:
     """Central-difference Hessian at an interior node (exact on quadratics)."""
     _require_interior(field, node)
     u = field.values
@@ -327,7 +264,7 @@ def fd_hessian(field: ScalarField, node: tuple[int, ...]) -> SymMatrix:
             out[a, b] = out[b, a] = (
                 u[tuple(pp)] - u[tuple(pm)] - u[tuple(mp)] + u[tuple(mm)]
             ) / (4.0 * h[a] * h[b])
-    return SymMatrix.from_full(out)
+    return out
 
 
 def shifted(values: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
@@ -371,18 +308,31 @@ def cross_diff(values: np.ndarray, axis_a: int, axis_b: int, ha: float, hb: floa
     ) / (4.0 * ha * hb)
 
 
+def laplacian(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
+    """Discrete Laplacian (sum of the axis second differences) over the interior box."""
+    out = second_diff(values, 0, spacing[0])
+    for axis in range(1, values.ndim):
+        out = out + second_diff(values, axis, spacing[axis])
+    return out
+
+
+def hessian_parts(values: np.ndarray, spacing: tuple[float, ...]) -> tuple[np.ndarray, list, list]:
+    """The discrete Hessian entries sigma2_tilde reads, over the interior box:
+    u_tt, the transverse diagonal [u_ii] and the mixed t-row [u_ti], i >= 1."""
+    utt = second_diff(values, 0, spacing[0])
+    diag = [second_diff(values, axis, spacing[axis]) for axis in range(1, values.ndim)]
+    cross = [cross_diff(values, 0, axis, spacing[0], spacing[axis]) for axis in range(1, values.ndim)]
+    return utt, diag, cross
+
+
 def sigma2_interior(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
     """sigma2_tilde of the discrete Hessian at every interior node.
 
     Returns an array of interior-box shape.  Only the Hessian entries the
-    operator actually reads are formed: u_tt, the transverse diagonal, and
-    the mixed t-row.
+    operator actually reads are formed (see ``hessian_parts``).
     """
-    utt = second_diff(values, 0, spacing[0])
-    acc = np.zeros_like(utt)
-    for axis in range(1, values.ndim):
-        acc += second_diff(values, axis, spacing[axis])
-    out = utt * acc
-    for axis in range(1, values.ndim):
-        out -= cross_diff(values, 0, axis, spacing[0], spacing[axis]) ** 2
+    utt, diag, cross = hessian_parts(values, spacing)
+    out = utt * sum(diag)
+    for c in cross:
+        out -= c**2
     return out

@@ -14,55 +14,26 @@ only in the test oracles, never here.
 Normalization: with this convention det(g) = sigma2_tilde(D^2 u) / 16, so a
 solution of the real equation has det(g) = 1/16; the potential 4u has
 det = 1.  ``ma_residual`` exposes both readings.  ``curvature`` returns g,
-det g, Ricci and the squared norm |Rm|^2 of the curvature tensor at many
-points from one metric evaluation; ``ricci``, ``riemann_tensor`` and
-``riemann_norm`` are its single-point readings.
+det g, Ricci, the curvature tensor and its squared norm |Rm|^2 at many
+points from one metric evaluation.  Every reader is batched: it takes an
+(N, 4) array of points (t, s, x, y), or one point of 4 coordinates as a
+batch of one, and returns arrays whose row n belongs to point n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite
 
 __all__ = [
-    "ComplexPoint",
-    "HermitianMetric",
-    "complex_hessian",
     "ma_residual",
-    "ricci",
-    "riemann_tensor",
-    "riemann_norm",
     "metric_batch",
     "curvature",
 ]
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of C^2 stored as four reals: z1 = t + i s, z2 = x + i y."""
-
-    t: float
-    s: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-
-    def __post_init__(self):
-        for name in ("t", "s", "x", "y"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ConfigError(f"coordinate {name} must be finite")
-            object.__setattr__(self, name, v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.s, self.x, self.y])
-
-
 def _points4(p) -> np.ndarray:
-    if isinstance(p, ComplexPoint):
-        return p.as_array().reshape(1, 4)
     pts = np.asarray(p, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
@@ -162,51 +133,20 @@ def _require_pd(g: np.ndarray, points: np.ndarray) -> None:
         )
 
 
-@dataclass
-class HermitianMetric:
-    """g_{ij} and its z-derivatives at one point of C^2."""
-
-    point: np.ndarray
-    g: np.ndarray
-    dg: np.ndarray
-    dgbar: np.ndarray
-    d2g: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return float(_det(self.g).real)
-
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
-
-
-def complex_hessian(potential, p) -> HermitianMetric:
-    """The induced Hermitian metric at p; errors if it is not positive definite."""
-    data = metric_batch(potential, p)
-    _require_pd(data["g"], data["points"])
-    return HermitianMetric(
-        point=data["points"][0],
-        g=data["g"][0],
-        dg=data["dg"][0],
-        dgbar=data["dgbar"][0],
-        d2g=data["d2g"][0],
-    )
-
-
-def ma_residual(potential, p, rescaled: bool = False) -> float:
-    """det(g) - 1/16, or det - 1 for the rescaled potential 4u.
+def ma_residual(potential, points, rescaled: bool = False) -> np.ndarray:
+    """det(g) - 1/16, or det - 1 for the rescaled potential 4u, at every point.
 
     For candidates with a compensated residual path the identity
     det(g) = sigma2_tilde(D^2 u) / 16 is used, so the result stays accurate
     where e^|t| amplification would swamp a direct determinant.
     """
-    data = metric_batch(potential, p)
+    data = metric_batch(potential, points)
     _require_pd(data["g"], data["points"])
     residual_many = getattr(potential, "residual_many", None)
     if residual_many is not None:
-        r = float(residual_many(data["points"][:, [0, 2, 3]])[0])
+        r = residual_many(data["points"][:, [0, 2, 3]])
         return r if rescaled else r / 16.0
-    det = float(_det(data["g"])[0].real)
+    det = _det(data["g"]).real
     return 16.0 * det - 1.0 if rescaled else det - 1.0 / 16.0
 
 
@@ -248,11 +188,6 @@ def _ricci_batch(data: dict[str, np.ndarray]) -> np.ndarray:
     return -(d2det / det - ddet[:, :, None] * ddetbar[:, None, :] / det**2)
 
 
-def ricci(potential, p) -> np.ndarray:
-    """Ricci tensor R_{ij} at p as a 2x2 complex matrix (zero for solutions)."""
-    return curvature(potential, p)["ricci"][0]
-
-
 def _riemann_batch(data: dict[str, np.ndarray]) -> np.ndarray:
     """R_{i jbar k lbar} = -d2g[k,l,i,j] + g^{pq} dg[k,i,q] dgbar[l,p,j]."""
     g, dg, dgbar, d2g = data["g"], data["dg"], data["dgbar"], data["d2g"]
@@ -262,16 +197,6 @@ def _riemann_batch(data: dict[str, np.ndarray]) -> np.ndarray:
     corr = np.einsum("npq,nkiq,nlpj->nijkl", gup, dg, dgbar)
     rm = -np.transpose(d2g, (0, 3, 4, 1, 2)) + corr
     return rm
-
-
-def riemann_tensor(potential, p) -> np.ndarray:
-    """Curvature tensor R_{i jbar k lbar} at p, shape (2, 2, 2, 2)."""
-    return curvature(potential, p)["riemann"][0]
-
-
-def riemann_norm(potential, p) -> float:
-    """Squared curvature norm |Rm|^2 at p (vanishes exactly on flat metrics)."""
-    return float(curvature(potential, p)["riemann_norm_sq"][0])
 
 
 def curvature(potential, points) -> dict[str, np.ndarray]:

@@ -2,11 +2,13 @@
 
 The discrete residual at an interior node is sigma2_tilde of the central
 second-difference Hessian minus 1.  Because the operator is quadratic in u,
-Newton's method with exact Jacobian rows (from ``sigma2_linearization``
-applied to the current discrete Hessian) converges quadratically once inside
+Newton's method with the exact Jacobian converges quadratically once inside
 the ellipticity cone u_tt > 0; a backtracking line search on ||F||_2 keeps
-iterates there.  Boundary nodes are hard Dirichlet constraints eliminated
-from the linear systems.
+iterates there.  ``assemble_jacobian`` builds it from the same Hessian parts
+as the residual (``core_ops.hessian_parts``): the row of a node holds the
+coefficients Lap_x u, u_tt and -2 u_ti of its u_tt, u_ii and u_ti stencils.
+Boundary nodes are hard Dirichlet constraints eliminated from the linear
+systems.
 
 Each Newton correction solves J delta = -F by GMRES preconditioned with one
 multigrid V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*).  The
@@ -37,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
-from .core_ops import Grid, ScalarField, second_diff, sigma2_interior
+from .core_ops import Grid, ScalarField, hessian_parts, laplacian, second_diff, sigma2_interior
 from .errors import (
     ConfigError,
     EllipticityLost,
@@ -123,16 +125,6 @@ class SolveReport:
         }
 
 
-def _hessian_parts(values: np.ndarray, spacing) -> tuple[np.ndarray, list, list]:
-    """Discrete (u_tt, [u_ii], [u_ti]) over the interior box."""
-    from .core_ops import cross_diff
-
-    utt = second_diff(values, 0, spacing[0])
-    diag = [second_diff(values, a, spacing[a]) for a in range(1, values.ndim)]
-    cross = [cross_diff(values, 0, a, spacing[0], spacing[a]) for a in range(1, values.ndim)]
-    return utt, diag, cross
-
-
 def assemble_residual(u: ScalarField) -> np.ndarray:
     """F_p = sigma2_tilde(discrete Hessian at p) - 1, flattened C-order."""
     return (sigma2_interior(u.values, u.grid.spacing) - 1.0).ravel()
@@ -175,7 +167,7 @@ def assemble_jacobian(u: ScalarField) -> sp.csr_matrix:
     """Exact Jacobian of ``assemble_residual`` at u (interior unknowns only)."""
     h = u.grid.spacing
     ndim = u.grid.dim
-    utt, diag, cross = _hessian_parts(u.values, h)
+    utt, diag, cross = hessian_parts(u.values, h)
     c00 = sum(diag)
     entries = []
     center = -2.0 * c00 / h[0] ** 2
@@ -213,13 +205,6 @@ def _interior_embed(grid: Grid, boundary_vals: np.ndarray, interior: np.ndarray)
     sl = tuple(slice(1, -1) for _ in range(grid.dim))
     full[sl] = interior.reshape(grid.interior_shape)
     return full
-
-
-def _discrete_laplacian(values: np.ndarray, spacing) -> np.ndarray:
-    out = second_diff(values, 0, spacing[0])
-    for a in range(1, values.ndim):
-        out = out + second_diff(values, a, spacing[a])
-    return out
 
 
 def _min_u11(values: np.ndarray, spacing) -> float:
@@ -329,7 +314,7 @@ def _laplace_family(problem: DirichletProblem):
     grid = problem.grid
     h = grid.spacing
     bvals = _boundary_only(problem)
-    harm_int = _dirichlet_poisson(grid, -_discrete_laplacian(bvals, h))
+    harm_int = _dirichlet_poisson(grid, -laplacian(bvals, h))
     w_int = _dirichlet_poisson(grid, np.ones(grid.interior_shape))
     harm = _interior_embed(grid, bvals, harm_int)
     w = _interior_embed(grid, np.zeros(grid.shape), w_int)
@@ -611,6 +596,8 @@ def rigidity_sweep(
     sizes = [float(L) for L in sizes]
     if any(L <= 0 for L in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("box sizes must be positive and strictly increasing")
+    if not (np.isfinite(h) and h > 0.0):
+        raise ConfigError(f"relative spacing h must be finite and positive, got {h}")
     m = int(round(2.0 / h)) + 1
     if m < 5:
         raise ConfigError(f"relative spacing h={h} gives only {m} nodes per axis (need >= 5)")

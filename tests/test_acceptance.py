@@ -173,7 +173,7 @@ def test_criterion_4a_ricci_flat():
     pts4 = rng.uniform(-2.0, 2.0, size=(100, 4))
     ce = Counterexample(0.25)
     start = time.perf_counter()
-    worst = max(float(np.abs(kahler.ricci(ce, p)).max()) for p in pts4)
+    worst = float(np.abs(kahler.curvature(ce, pts4)["ricci"]).max())
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 5.0
     _line(
@@ -223,8 +223,8 @@ def test_criterion_4b_nonflatness_pin():
     with the mathematics on a flat and on a curved potential.
 
     1. Exponential solution (kappa = 1/4): the metric is exactly flat (see the
-       module docstring), so the package's tensor (read raw through
-       riemann_tensor: riemann_norm clamps small negatives to 0) and the
+       module docstring), so the package's tensor (read raw from
+       curvature's "riemann": its |Rm|^2 clamps small negatives to 0) and the
        difference oracle's tensor and norm V0 must sit at their rounding
        floors, bounded above with the derivations next to the constants.
     2. Control u + x^4/20: honest curvature, so the package's |Rm|^2 matches
@@ -240,7 +240,7 @@ def test_criterion_4b_nonflatness_pin():
     p3 = (0.0, 1.0, 0.0)
 
     ce = Counterexample(0.25)
-    rm_pkg = float(np.abs(kahler.riemann_tensor(ce, p4)).max())
+    rm_pkg = float(np.abs(kahler.curvature(ce, p4)["riemann"]).max())
     rm_fd = float(np.abs(oracles.riemann_fd(ce, p3)).max())
     v0_flat = oracles.riemann_norm_fd(ce, p3)
     flat_ok = (
@@ -250,7 +250,7 @@ def test_criterion_4b_nonflatness_pin():
     )
 
     pert = oracles.PerturbedPotential(Counterexample(), eps=1 / 20)
-    v_curved = kahler.riemann_norm(pert, p4)
+    v_curved = float(kahler.curvature(pert, p4)["riemann_norm_sq"][0])
     v0_curved = oracles.riemann_norm_fd(pert, p3)
     curved_ok = abs(v_curved - v0_curved) <= 1e-3 * abs(v0_curved) and v0_curved > 1e-6
 

@@ -11,7 +11,7 @@ from sigma2lab.analysis import (
     partial_legendre,
 )
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
-from sigma2lab.core_ops import Grid, ScalarField, SymMatrix, sigma2_tilde
+from sigma2lab.core_ops import Grid, ScalarField, sigma2_tilde
 from sigma2lab.errors import (
     ConfigError,
     NoInteriorPoint,
@@ -27,10 +27,10 @@ from sigma2lab.errors import (
 
 
 def test_ellipsoid_boundary_points_lie_on_the_ellipsoid():
-    M = SymMatrix.from_full(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+    M = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
     E = EllipsoidMap(M, center=np.array([1.0, -2.0, 0.5]))
     pts = E.boundary_points(200)
-    r = np.linalg.norm((M.full() @ (pts - E.center).T).T, axis=1)
+    r = np.linalg.norm((M @ (pts - E.center).T).T, axis=1)
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
     # deterministic: same seed, same points
     np.testing.assert_array_equal(pts, E.boundary_points(200))
@@ -38,13 +38,15 @@ def test_ellipsoid_boundary_points_lie_on_the_ellipsoid():
 
 def test_ellipsoid_rejects_indefinite_matrix():
     with pytest.raises(NotPositiveDefinite):
-        EllipsoidMap(SymMatrix.diag([1.0, -1.0, 1.0]), center=np.zeros(3))
+        EllipsoidMap(np.diag([1.0, -1.0, 1.0]), center=np.zeros(3))
     with pytest.raises(ConfigError):
-        EllipsoidMap(SymMatrix.diag([1.0, 1.0]), center=np.zeros(3))
+        EllipsoidMap(np.diag([1.0, 1.0]), center=np.zeros(3))
+    with pytest.raises(ConfigError):
+        EllipsoidMap(np.array([[1.0, 2.0], [2.5, 1.0]]), center=np.zeros(2))
 
 
 def test_ellipsoid_scaling_shrinks_or_inflates():
-    E = EllipsoidMap(SymMatrix.diag([2.0, 2.0]), center=np.zeros(2))
+    E = EllipsoidMap(np.diag([2.0, 2.0]), center=np.zeros(2))
     assert barrier_check(E.scaled(2.0), 1.0)["value"] == pytest.approx(16 * barrier_check(E, 1.0)["value"])
 
 
@@ -107,7 +109,7 @@ def test_barrier_equality_for_the_round_solution(h):
     assert chk["pass"]
     assert chk["value"] * 4.0 * h * h == pytest.approx(1.0, abs=1e-8)
     if h == 1.0:
-        np.testing.assert_allclose(E.M.full(), np.diag([1 / np.sqrt(2.0), 0.5, 0.5]), atol=1e-9)
+        np.testing.assert_allclose(E.M, np.diag([1 / np.sqrt(2.0), 0.5, 0.5]), atol=1e-9)
 
 
 def test_barrier_holds_for_random_solution_sublevels():

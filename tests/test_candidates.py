@@ -67,7 +67,7 @@ def test_harmonic_poly_gatekeeping():
 def test_quadratic_standard_pinned():
     q = Quadratic.standard(3)
     assert q.eval((1.0, 1.0, 0.5)) == pytest.approx(0.5 + 0.25 + 0.0625, abs=1e-14)
-    np.testing.assert_allclose(q.hessian((0.0, 0.0, 0.0)).full(), np.diag([1.0, 0.5, 0.5]))
+    np.testing.assert_allclose(q.hessian((0.0, 0.0, 0.0)), np.diag([1.0, 0.5, 0.5]))
     np.testing.assert_allclose(q.gradient((1.0, 2.0, -2.0)), [1.0, 1.0, -1.0])
 
 
@@ -181,11 +181,11 @@ def test_he_form_rejects_wrong_g():
 
 def test_counterexample_is_not_convex():
     ce = Counterexample()
-    H = ce.hessian((0.0, 2.0, 0.0)).full()
+    H = ce.hessian((0.0, 2.0, 0.0))
     assert np.linalg.eigvalsh(H).min() < -0.5
     # while the quadratic solution is convex everywhere
     q = Quadratic.standard(3)
-    assert np.linalg.eigvalsh(q.hessian((0.0, 2.0, 0.0)).full()).min() > 0.0
+    assert np.linalg.eigvalsh(q.hessian((0.0, 2.0, 0.0))).min() > 0.0
 
 
 def test_counterexample_u_tt_unbounded_both_ways():
@@ -243,7 +243,7 @@ def test_hessian_many_matches_single_point():
     pts = random_points(6, 10, 3)
     batch = ce.hessian_many(pts)
     for k, p in enumerate(pts):
-        np.testing.assert_allclose(batch[k], ce.hessian(p).full(), atol=1e-13)
+        np.testing.assert_allclose(batch[k], ce.hessian(p), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

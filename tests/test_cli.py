@@ -1,12 +1,15 @@
+import argparse
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigma2lab.cli import main
+from sigma2lab.cli import _parser, main
 from sigma2lab.core_ops import Grid, ScalarField
 from sigma2lab.candidates import Quadratic
 
@@ -308,6 +311,32 @@ def test_bad_legendre_shape_is_a_config_error(shape):
     )
 
 
+_HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0}, "g": {}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rigidity", "--candidate", "quadratic", "--sizes", "a"],
+        ["rigidity", "--candidate", "quadratic", "--h", "0"],
+        ["rigidity", "--candidate", "quadratic", "--h", "nan"],
+        ["convergence", "--candidate", "counterexample", "--h-list", "a"],
+        ["convergence", "--candidate", "counterexample", "--h-list", "0.5,0"],
+        ["verify", "--candidate", '{"variant": "quadratic"}'],
+        ["verify", "--candidate", '{"variant": "he_form"}'],
+        ["verify", "--candidate", '{"variant": "quadratic", "A": "x"}'],
+        ["verify", "--candidate", json.dumps(_HE_FORM_BAD_KEY)],
+        ["barrier", "--candidate", "quadratic", "--samples", "0"],
+    ],
+    ids=[
+        "sizes-a", "h-0", "h-nan", "h-list-a", "h-list-zero",
+        "json-no-A", "json-no-nvars", "json-A-text", "json-b-key-x", "samples-0",
+    ],
+)
+def test_malformed_input_is_a_config_error(argv):
+    _assert_config_error(_run_module(*argv))
+
+
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     # the parser is built once per process; no state may carry between calls
     calls = [
@@ -328,3 +357,22 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     for argv, (code, out) in zip(calls, in_process):
         proc = _run_module(*argv)
         assert (code, out) == (proc.returncode, proc.stdout), argv
+
+
+def _full_suite_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_suite.py"
+    spec = importlib.util.spec_from_file_location("run_full_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_full_suite_roster_parses_and_covers_every_subcommand(quick):
+    parser = _parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    roster = _full_suite_script().roster(quick)
+    for name, argv in roster:
+        args = parser.parse_args(argv)  # a bad entry exits 2 here
+        assert args.subcommand == argv[0], name
+    assert {argv[0] for _, argv in roster} == set(subparsers.choices)

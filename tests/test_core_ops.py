@@ -7,10 +7,9 @@ import oracles
 from sigma2lab.core_ops import (
     Grid,
     ScalarField,
-    SymMatrix,
     cross_diff,
-    fd_gradient,
     fd_hessian,
+    laplacian,
     second_diff,
     shifted,
     sigma2_interior,
@@ -81,7 +80,7 @@ def test_sigma2_rejects_non_square():
 
 def test_linearization_pinned():
     H = np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    C = sigma2_linearization(H).full()
+    C = sigma2_linearization(H)
     expected = np.array([[4.0, -2.0, 0.0], [-2.0, 1.25, 0.0], [0.0, 0.0, 1.25]])
     np.testing.assert_allclose(C, expected, atol=1e-14)
 
@@ -94,7 +93,7 @@ def test_linearization_is_exact_gradient(h_entries, v_entries):
     sigma2(H + V) = sigma2(H) + <C(H), V> + sigma2(V) with no remainder.
     """
     H, V = sym3(h_entries), sym3(v_entries)
-    C = sigma2_linearization(H).full()
+    C = sigma2_linearization(H)
     lhs = sigma2_tilde(H + V)
     rhs = sigma2_tilde(H) + np.sum(C * V) + sigma2_tilde(V)
     scale = max(1.0, np.abs(H).max() ** 2, np.abs(V).max() ** 2)
@@ -119,7 +118,7 @@ def test_linearization_definite_on_cone(d1, d2, m1, m2, off, s):
     h00 = (m1 * m1 + m2 * m2 + s) / (d1 + d2)
     H = np.array([[h00, m1, m2], [m1, d1, off], [m2, off, d2]])
     assert sigma2_tilde(H) == pytest.approx(s, rel=1e-9, abs=1e-9)
-    eig = np.linalg.eigvalsh(sigma2_linearization(H).full())
+    eig = np.linalg.eigvalsh(sigma2_linearization(H))
     assert eig.min() > 0.0
 
 
@@ -127,34 +126,10 @@ def test_linearization_respects_symmetric_perturbation_direction():
     rng = np.random.default_rng(3)
     H = sym3(rng.normal(size=6))
     V = sym3(rng.normal(size=6))
-    C = sigma2_linearization(H).full()
+    C = sigma2_linearization(H)
     eps = 1e-6
     fd = (sigma2_tilde(H + eps * V) - sigma2_tilde(H - eps * V)) / (2 * eps)
     assert fd == pytest.approx(np.sum(C * V), rel=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# SymMatrix
-
-
-def test_symmatrix_roundtrip():
-    full = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-    m = SymMatrix.from_full(full)
-    np.testing.assert_array_equal(m.full(), full)
-    assert m[0, 2] == 3.0 and m[2, 0] == 3.0
-    assert m.dim == 3
-
-
-def test_symmatrix_diag():
-    m = SymMatrix.diag([2.0, 3.0])
-    np.testing.assert_array_equal(m.full(), np.diag([2.0, 3.0]))
-
-
-def test_symmatrix_rejects_asymmetric():
-    with pytest.raises(ConfigError):
-        SymMatrix.from_full(np.array([[1.0, 2.0], [2.5, 1.0]]))
-    with pytest.raises(ConfigError):
-        SymMatrix(np.ones(4), dim=3)  # wrong packed length
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +172,14 @@ def test_grid_validation(bounds, shape):
 
 def test_second_diff_exact_on_quadratics():
     g = Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(9, 11))
-    f = ScalarField.from_callable(g, lambda t, x: 3.0 * t**2 + t * x)
+    f = ScalarField.from_callable(g, lambda t, x: 3.0 * t**2 + t * x + 2.0 * x**2)
     d2t = second_diff(f.values, 0, g.spacing[0])
     assert d2t.shape == g.interior_shape
     np.testing.assert_allclose(d2t, 6.0, atol=1e-11)
     mixed = cross_diff(f.values, 0, 1, *g.spacing)
     np.testing.assert_allclose(mixed, 1.0, atol=1e-11)
+    # the two axes have different spacings, so a swapped spacing index shows
+    np.testing.assert_allclose(laplacian(f.values, g.spacing), 10.0, atol=1e-11)
 
 
 def test_shifted_rejects_bad_offset():
@@ -240,13 +217,13 @@ def test_sigma2_interior_matches_pointwise_operator():
 def test_fd_hessian_matches_exact_hessian():
     ce = Counterexample()
     center = np.array([0.5, 0.4, -0.3])
-    exact = ce.hessian(center).full()
+    exact = ce.hessian(center)
 
     def err(h):
         box = tuple((c - 4 * h, c + 4 * h) for c in center)
         g = Grid(bounds=box, shape=(9, 9, 9))
         f = ScalarField.sample(g, ce)
-        return np.abs(fd_hessian(f, (4, 4, 4)).full() - exact).max()
+        return np.abs(fd_hessian(f, (4, 4, 4)) - exact).max()
 
     e1, e2 = err(0.02), err(0.01)
     assert e1 < 1e-3
@@ -254,19 +231,11 @@ def test_fd_hessian_matches_exact_hessian():
     assert 3.0 < e1 / e2 < 5.0
 
 
-def test_fd_gradient_matches_exact_gradient():
-    ce = Counterexample()
-    center = np.array([0.2, -0.6, 0.9])
-    g = Grid(bounds=tuple((c - 0.04, c + 0.04) for c in center), shape=(9, 9, 9))
-    f = ScalarField.sample(g, ce)
-    np.testing.assert_allclose(fd_gradient(f, (4, 4, 4)), ce.gradient(center), atol=1e-4)
-
-
 def test_fd_rejects_boundary_nodes():
     g = Grid(bounds=((-1.0, 1.0),) * 2, shape=(5, 5))
     f = ScalarField(grid=g, values=np.zeros(g.shape))
     with pytest.raises(BoundaryNode):
-        fd_gradient(f, (0, 2))
+        fd_hessian(f, (0, 2))
     with pytest.raises(BoundaryNode):
         fd_hessian(f, (2, 4))
 

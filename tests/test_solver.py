@@ -43,22 +43,32 @@ def test_residual_of_zero_field():
     np.testing.assert_allclose(assemble_residual(u), -1.0)
 
 
-def test_jacobian_is_the_exact_linearization():
+@pytest.mark.parametrize(
+    "g",
+    [
+        cube(-1.0, 1.0, 7),
+        Grid(((-1.0, 1.0), (0.0, 3.0)), (7, 9)),
+        # unequal spans and node counts: a swapped spacing index shows
+        Grid(((-1.0, 1.0), (0.0, 3.0), (-0.5, 0.25)), (7, 9, 6)),
+    ],
+    ids=["cube7", "plane7x9", "box7x9x6"],
+)
+def test_jacobian_is_the_exact_linearization(g):
     """The operator is quadratic in u, so for interior-supported v:
 
     F(u + v) - F(u) - J(u) v = sigma2(D^2 v)  with no remainder at all.
     """
     rng = np.random.default_rng(0)
-    g = cube(-1.0, 1.0, 7)
     u = ScalarField(g, rng.normal(size=g.shape))
     v = rng.normal(size=g.shape)
     v[g.boundary_mask()] = 0.0
     J = assemble_jacobian(u)
+    interior = tuple(slice(1, -1) for _ in range(g.dim))
 
     lhs = (
         assemble_residual(ScalarField(g, u.values + v))
         - assemble_residual(u)
-        - J @ v[1:-1, 1:-1, 1:-1].ravel()
+        - J @ v[interior].ravel()
     )
     rhs = sigma2_interior(v, g.spacing).ravel()
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
