@@ -9,6 +9,6 @@ and convexity/rigidity analysis tools.
 
 __version__ = "0.1.0"
 
-from . import analysis, candidates, core_ops, errors, kahler, solver
-
+# submodules load on first import, so a closed-form CLI call never loads the
+# solver's scipy stack: ``from sigma2lab import solver`` still works
 __all__ = ["analysis", "candidates", "core_ops", "errors", "kahler", "solver", "__version__"]

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import brentq
 
+from .candidates import Quadratic, is_he_form
 from .core_ops import Grid, ScalarField, fd_hessian, laplacian, second_diff, sigma2_tilde
 from .errors import (
     ConfigError,
@@ -120,20 +119,59 @@ def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _axis_crossing(value_along, h: float, axis_label: str) -> float:
-    """Smallest s > 0 with value_along(s) = h for a convex profile, via brentq."""
-    s_hi = 1.0
+# machine-level bracket tolerance (scipy brentq's xtol and rtol): the barrier
+# value is quartic in 1/intercept, so a sloppy crossing inflates sigma2(M^2)
+# errors past the check's 1e-12 slack
+_CROSSING_XTOL = 1e-15
+_CROSSING_RTOL = 8.9e-16
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+def _axis_crossings(value, xstar: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
+    """Smallest s > 0 with value(xstar + s e) = h for a convex profile, for
+    every row e of ``dirs`` (+e_0, -e_0, +e_1, -e_1, ...) at once.
+
+    A doubling search brackets every crossing in [0, 2^k], then bisection
+    halves all brackets together until each is narrower than
+    xtol + rtol * s.  The answer is the root of the chord through the last
+    bracket wider than sqrt(eps) * s, clipped to the final bracket: the
+    chord's curvature error is O(eps * s), and its end values lie far enough
+    apart that their rounding cannot decide which end of the final bracket
+    is nearer the crossing.
+    """
+
+    def f(s: np.ndarray) -> np.ndarray:
+        return value(xstar + s[:, None] * dirs) - h
+
+    hi = np.ones(dirs.shape[0])
     for _ in range(80):
-        if value_along(s_hi) > h:
+        f_hi = f(hi)
+        if np.all(f_hi > 0.0):
             break
-        s_hi *= 2.0
+        hi = np.where(f_hi > 0.0, hi, 2.0 * hi)
     else:
+        k = int(np.argmin(f_hi > 0.0))  # the first direction still inside
         raise ConfigError(
-            f"sublevel set appears unbounded along {axis_label}; no crossing below u = h"
+            f"sublevel set appears unbounded along axis {k // 2} ({'+-'[k % 2]}); "
+            "no crossing below u = h"
         )
-    # machine-level xtol: the barrier value is quartic in 1/intercept, so a
-    # sloppy crossing inflates sigma2(M^2) errors past the check's 1e-12 slack
-    return brentq(lambda s: value_along(s) - h, 0.0, s_hi, xtol=1e-15, rtol=8.9e-16)
+    lo = np.zeros_like(hi)
+    f_lo = f(lo)
+    chord = (lo, hi, f_lo, f_hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = hi - lo > _CROSSING_XTOL + _CROSSING_RTOL * mid
+        if not open_.any():
+            break
+        f_mid = f(mid)
+        above = open_ & (f_mid > 0.0)
+        below = open_ & ~above
+        hi, f_hi = np.where(above, mid, hi), np.where(above, f_mid, f_hi)
+        lo, f_lo = np.where(below, mid, lo), np.where(below, f_mid, f_lo)
+        wide = hi - lo > _SQRT_EPS * hi
+        chord = tuple(np.where(wide, new, old) for new, old in zip((lo, hi, f_lo, f_hi), chord))
+    c_lo, c_hi, fc_lo, fc_hi = chord
+    return np.clip(c_lo - fc_lo * (c_hi - c_lo) / (fc_hi - fc_lo), lo, hi)
 
 
 @dataclass
@@ -143,6 +181,9 @@ class SublevelSet:
     ``value`` evaluates the normalized function at (N, dim) points; axis
     intercepts are the distances from the minimizer to the boundary of K_h
     along each coordinate axis (the smaller of the two directions).
+    ``hessian`` is the constant Hessian of a quadratic source, for which
+    value(x) = (x - minimizer)^T hessian (x - minimizer) / 2 exactly; None
+    for every other source.
     """
 
     h: float
@@ -151,6 +192,7 @@ class SublevelSet:
     intercepts: np.ndarray
     boundary_samples: np.ndarray
     value: object  # callable (N, dim) -> (N,)
+    hessian: np.ndarray | None = None
 
     @classmethod
     def from_candidate(cls, candidate, h: float, convexity_box: float = 2.0) -> "SublevelSet":
@@ -173,7 +215,9 @@ class SublevelSet:
             pts = np.asarray(pts, dtype=float)
             return candidate.eval_many(pts) - u0 - (pts - xstar) @ g0
 
-        return cls._from_value(value, xstar, h)
+        return cls._from_value(
+            value, xstar, h, candidate.A if isinstance(candidate, Quadratic) else None
+        )
 
     @classmethod
     def from_field(cls, fld: ScalarField, h: float) -> "SublevelSet":
@@ -191,6 +235,9 @@ class SublevelSet:
         axes = grid.axes()
         xstar = np.array([ax[i] for ax, i in zip(axes, idx_min)])
         vals = fld.values - fld.values[idx_min]
+        # imported here, so that candidate-only callers never load scipy
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator(axes, vals, method="linear", bounds_error=True)
 
         def value(pts: np.ndarray) -> np.ndarray:
@@ -207,42 +254,39 @@ class SublevelSet:
         return cls._from_value(value, xstar, h)
 
     @classmethod
-    def _from_value(cls, value, xstar: np.ndarray, h: float) -> "SublevelSet":
+    def _from_value(cls, value, xstar: np.ndarray, h: float, hessian=None) -> "SublevelSet":
         """The set {value <= h} around its minimizer ``xstar``, by axis crossings."""
         dim = xstar.size
-        crossings = []
-        samples = []
-        for k in range(dim):
-            per_dir = []
-            for sign in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[k] = sign
-
-                def along(s, e=e):
-                    return float(value((xstar + s * e)[None, :])[0])
-
-                s = _axis_crossing(along, h, f"axis {k} ({'+' if sign > 0 else '-'})")
-                per_dir.append(s)
-                samples.append(xstar + s * e)
-            crossings.append(min(per_dir))
+        dirs = np.kron(np.eye(dim), [[1.0], [-1.0]])
+        crossings = _axis_crossings(value, xstar, dirs, h)
         return cls(
             h=float(h),
             dim=dim,
             minimizer=xstar,
-            intercepts=np.array(crossings),
-            boundary_samples=np.array(samples),
+            intercepts=crossings.reshape(dim, 2).min(axis=1),
+            boundary_samples=xstar + crossings[:, None] * dirs,
             value=value,
+            hessian=hessian,
         )
 
 
 def inscribe_ellipsoid(K: SublevelSet, samples: int = _CONTAIN_SAMPLES) -> EllipsoidMap:
-    """Ellipsoid inside K_h: diagonal seed from the axis intercepts, then the
-    smallest uniform shrink factor s >= 1 certified on sampled boundary points."""
+    """Ellipsoid inside K_h: diagonal seed M0 from the axis intercepts, then
+    the smallest uniform shrink factor s >= 1 that keeps it inside.
+
+    For a quadratic source the maximum of value on |s M0 (x - c)| = 1 is
+    lambda_max(M0^-1 H M0^-1) / (2 s^2), so s is exact in closed form.  For
+    every other source s is certified on sampled boundary points only.
+    """
     if samples < 1:
         raise ConfigError(f"need at least one sample point, got {samples}")
     if np.any(K.intercepts <= 0.0) or not np.all(np.isfinite(K.intercepts)):
         raise NoInteriorPoint("degenerate axis intercepts; K_h has empty interior")
     seed = EllipsoidMap(np.diag(1.0 / K.intercepts), K.minimizer)
+    if K.hessian is not None:
+        D = np.diag(K.intercepts)
+        lam = float(np.linalg.eigvalsh(D @ K.hessian @ D).max())
+        return seed.scaled(max(1.0, float(np.sqrt(lam / (2.0 * K.h)))))
     tol = 1e-12 * max(1.0, abs(K.h))
 
     def contained(s: float) -> bool:
@@ -545,8 +589,6 @@ def _he_extract_field(fld: ScalarField):
 def he_reduction_report(source, box=None, samples_per_axis=17, tol=1e-8, theta=True) -> dict:
     """Oscillation of u_tt, verdict, extracted (a, b, g) with identity residuals,
     and the harmonicity level of the transformed theta."""
-    from .candidates import is_he_form
-
     if isinstance(source, ScalarField):
         grid = source.grid
         box = [tuple(b) for b in grid.bounds]

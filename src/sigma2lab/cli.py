@@ -31,7 +31,6 @@ from .candidates import (
 )
 from .core_ops import Grid, ScalarField
 from .errors import ConfigError, SolverError
-from .solver import DirichletProblem, newton_solve, rigidity_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +283,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import DirichletProblem, newton_solve
+
     if args.grid is None:
         raise ConfigError("solve needs --grid")
     grid = _parse_grid(args.grid)
@@ -305,6 +306,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    from .solver import rigidity_sweep
+
     cand = _load_candidate(args)
     rows = rigidity_sweep(cand, eps=args.eps, sizes=_parse_vector(args.sizes), h=args.h, tol=args.tol)
     converged = [r for r in rows if r["converged"]]
@@ -416,6 +419,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from .solver import DirichletProblem, newton_solve
+
     cand = _load_candidate(args)
     dim = cand.dim
     span = _parse_span(args.box) if args.box else (-1.0, 1.0)
@@ -532,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_candidate_flags(p)
     _add_common_flags(p)
     p.add_argument("--level", type=float, default=1.0, help="sublevel value h")
-    p.add_argument("--samples", type=int, default=1000, help="boundary samples for containment")
+    p.add_argument("--samples", type=int, default=1000, help="boundary samples for containment (non-quadratic candidates)")
     p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("legendre", help="partial Legendre transform theta(z, x)")

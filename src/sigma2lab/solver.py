@@ -130,37 +130,47 @@ def assemble_residual(u: ScalarField) -> np.ndarray:
     return (sigma2_interior(u.values, u.grid.spacing) - 1.0).ravel()
 
 
-def _stencil_matrix(entries, interior_shape) -> sp.csr_matrix:
-    """Sparse interior-to-interior matrix from (offset, coefficient array) pairs.
+@lru_cache(maxsize=8)
+def _stencil_pattern(offsets: tuple, interior_shape: tuple[int, ...]):
+    """CSR ``indptr`` and ``indices`` of the interior-to-interior stencil
+    matrix with these (distinct) offsets, and ``gather``, the position of each CSR entry
+    in the flattened stack of per-offset coefficient arrays (k * n + p for
+    offset k in the row of node p).
 
     Stencil legs that leave the interior box hit Dirichlet nodes and are
-    dropped (their contribution belongs to the right-hand side).
+    dropped (their contribution belongs to the right-hand side).  Within a
+    row the columns are sorted, as a COO-to-CSR conversion leaves them.  The
+    arrays are read-only: every matrix of this shape shares them.
     """
+    if any(o not in (-1, 0, 1) for off in offsets for o in off):
+        raise ConfigError("stencil offsets must be -1, 0, or 1")
     n = int(np.prod(interior_shape))
-    base = np.arange(n).reshape(interior_shape)
-    rows, cols, vals = [], [], []
-    for off, coeff in entries:
-        src, tgt = [], []
-        for o, m in zip(off, interior_shape):
-            if o == 0:
-                src.append(slice(None))
-                tgt.append(slice(None))
-            elif o == 1:
-                src.append(slice(0, m - 1))
-                tgt.append(slice(1, m))
-            elif o == -1:
-                src.append(slice(1, m))
-                tgt.append(slice(0, m - 1))
-            else:
-                raise ConfigError("stencil offsets must be -1, 0, or 1")
-        rows.append(base[tuple(src)].ravel())
-        cols.append(base[tuple(tgt)].ravel())
-        c = np.broadcast_to(coeff, interior_shape)[tuple(src)]
-        vals.append(np.ascontiguousarray(c).ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    strides = [int(np.prod(interior_shape[a + 1:])) for a in range(len(interior_shape))]
+    shifts = np.array(offsets) @ strides  # column minus row, per offset
+    order = np.argsort(shifts)
+    node = np.indices(interior_shape).reshape(len(interior_shape), n).T
+    inside = np.stack(
+        [np.all((node + offsets[k] >= 0) & (node + offsets[k] < interior_shape), axis=1) for k in order],
+        axis=1,
     )
-    return mat.tocsr()
+    idx_dtype = np.int32 if len(offsets) * n < 2**31 else np.int64
+    rows = np.arange(n)[:, None]
+    indices = (rows + shifts[order])[inside].astype(idx_dtype)
+    gather = (order * n + rows)[inside]
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    for arr in (indptr, indices, gather):
+        arr.flags.writeable = False
+    return indptr, indices, gather
+
+
+def _stencil_matrix(entries, interior_shape) -> sp.csr_matrix:
+    """Sparse interior-to-interior matrix from (offset, coefficient array) pairs."""
+    interior_shape = tuple(interior_shape)
+    n = int(np.prod(interior_shape))
+    indptr, indices, gather = _stencil_pattern(tuple(off for off, _ in entries), interior_shape)
+    coeffs = np.stack([np.broadcast_to(c, interior_shape) for _, c in entries])
+    return sp.csr_matrix((coeffs.reshape(-1)[gather], indices, indptr), shape=(n, n))
 
 
 def assemble_jacobian(u: ScalarField) -> sp.csr_matrix:
@@ -221,23 +231,25 @@ def _prolongation_1d(fine: int, coarse: int) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=8)
-def _prolongations(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, ...]:
-    """Tensor-product prolongations up the ladder of ``_coarsen_levels``, coarse first."""
+def _prolongations(shape: tuple[int, ...]) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """Tensor-product prolongations P up the ladder of ``_coarsen_levels``,
+    coarse first, each paired with its restriction P^T in CSR form."""
     levels = _coarsen_levels(shape)
     out = []
     for coarse, fine in zip(levels, levels[1:]):
         P = _prolongation_1d(fine[0], coarse[0])
         for f, c in zip(fine[1:], coarse[1:]):
             P = sp.kron(P, _prolongation_1d(f, c), format="csr")
-        out.append(P)
+        out.append((P, P.T.tocsr()))
     return tuple(out)
 
 
 def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
     """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual."""
-    prolongs = _prolongations(shape)
+    transfers = _prolongations(shape)
     ops = [mat]
-    for P in reversed(prolongs):
+    for P, _ in reversed(transfers):
+        # P.T, not R: R @ J sums its products in another order
         ops.insert(0, (P.T @ ops[0] @ P).tocsr())
     try:
         coarsest = spla.splu(ops[0].tocsc())
@@ -253,17 +265,17 @@ def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
     # a module-level function, not a recursive closure: a closure that calls
     # itself is a reference cycle, and would keep the whole hierarchy (the
     # fine Jacobian included) alive until the cyclic garbage collector runs
-    return partial(_cycle, ops, weights, prolongs, coarsest, len(ops) - 1)
+    return partial(_cycle, ops, weights, transfers, coarsest, len(ops) - 1)
 
 
-def _cycle(ops, weights, prolongs, coarsest, level: int, rhs: np.ndarray) -> np.ndarray:
+def _cycle(ops, weights, transfers, coarsest, level: int, rhs: np.ndarray) -> np.ndarray:
     if level == 0:
         return coarsest.solve(rhs)
-    A, w, P = ops[level], weights[level - 1], prolongs[level - 1]
+    A, w, (P, R) = ops[level], weights[level - 1], transfers[level - 1]
     x = w * rhs  # first pre-smoothing sweep, from zero
     for _ in range(_SMOOTHING_SWEEPS - 1):
         x += w * (rhs - A @ x)
-    x += P @ _cycle(ops, weights, prolongs, coarsest, level - 1, P.T @ (rhs - A @ x))
+    x += P @ _cycle(ops, weights, transfers, coarsest, level - 1, R @ (rhs - A @ x))
     for _ in range(_SMOOTHING_SWEEPS):
         x += w * (rhs - A @ x)
     return x

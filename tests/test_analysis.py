@@ -4,6 +4,7 @@ import pytest
 from sigma2lab.analysis import (
     EllipsoidMap,
     SublevelSet,
+    _axis_crossings,
     barrier_check,
     harmonicity_test,
     he_reduction_report,
@@ -95,6 +96,58 @@ def test_sublevel_set_from_field_needs_interior_minimum():
         SublevelSet.from_field(tilted, h=1.0)
 
 
+def _rotation(rng, dim=3):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def _brentq_crossings(K):
+    """Each axis crossing of K by its own scipy brentq solve, at the
+    tolerances the batched solve keeps (xtol 1e-15, rtol 8.9e-16)."""
+    from scipy.optimize import brentq
+
+    out = []
+    for e in np.kron(np.eye(K.dim), [[1.0], [-1.0]]):
+        def f(s, e=e):
+            return float(K.value((K.minimizer + s * e)[None, :])[0]) - K.h
+
+        s_hi = 1.0
+        while f(s_hi) <= 0.0:
+            s_hi *= 2.0
+        out.append(brentq(f, 0.0, s_hi, xtol=1e-15, rtol=8.9e-16))
+    return np.array(out)
+
+
+def test_batched_axis_crossings_match_brentq():
+    """Both solves bracket the same root to within xtol + rtol * s, so with
+    every crossing s >= 1 they agree to 2 (1e-15 + 8.9e-16) < 4e-15
+    relative.  The quadratics have min u = 0, so rounding in value itself
+    stays below that."""
+    rng = np.random.default_rng(71)
+    sets = []
+    for _ in range(20):
+        R = _rotation(rng)
+        A0 = R @ np.diag(rng.uniform(0.3, 3.0, 3)) @ R.T
+        A0 = 0.5 * (A0 + A0.T)
+        A = A0 / np.sqrt(sigma2_tilde(A0))
+        b = 0.3 * rng.normal(size=3)
+        q = Quadratic(A, b=b, c=0.5 * b @ np.linalg.solve(A, b))
+        sets.append(SublevelSet.from_candidate(q, rng.uniform(1.0, 5.0) * np.diag(A).max() / 2.0))
+    for _ in range(10):
+        beta = rng.uniform(-0.6, 0.6, size=2)
+        he = make_he_form(float(rng.uniform(0.5, 2.0)), HarmonicPoly(2, {(1, 0): beta[0], (0, 1): beta[1]}))
+        sets.append(SublevelSet.from_candidate(he, rng.uniform(1.0, 5.0) * max(2.0 * he.a, 1.0 / he.a)))
+    g = Grid(((-2.0, 2.0),) * 3, (41, 41, 41))
+    sets.append(SublevelSet.from_field(ScalarField.sample(g, Quadratic.standard(3)), h=0.6))
+    for K in sets:
+        dirs = np.kron(np.eye(K.dim), [[1.0], [-1.0]])
+        got = _axis_crossings(K.value, K.minimizer, dirs, K.h)
+        ref = _brentq_crossings(K)
+        assert ref.min() >= 1.0
+        np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
+        np.testing.assert_array_equal(K.intercepts, got.reshape(K.dim, 2).min(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # the barrier inequality
 
@@ -135,6 +188,25 @@ def test_barrier_holds_for_separated_solutions():
         h = float(10.0 ** rng.uniform(-1.0, 1.5))
         chk = barrier_check(inscribe_ellipsoid(SublevelSet.from_candidate(he, h)), h)
         assert chk["pass"]
+
+
+def test_quadratic_ellipsoid_is_inside_by_the_exact_test():
+    """For u = x^T A x / 2 + b.x + c the largest value of u - min u on the
+    boundary of |M(x - c)| <= 1 is lambda_max(M^-1 A M^-1) / 2: a rotated
+    quadratic's ellipsoid must keep it at most h, to 1e-12."""
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        R = _rotation(rng)
+        A0 = R @ np.diag(rng.uniform(0.3, 3.0, 3)) @ R.T
+        A0 = 0.5 * (A0 + A0.T)
+        A = A0 / np.sqrt(sigma2_tilde(A0))
+        q = Quadratic(A, b=rng.normal(size=3), c=float(rng.normal()))
+        h = float(10.0 ** rng.uniform(-1.0, 2.0))
+        E = inscribe_ellipsoid(SublevelSet.from_candidate(q, h))
+        np.testing.assert_allclose(E.center, -np.linalg.solve(A, q.b), atol=1e-12)
+        Minv = np.linalg.inv(E.M)
+        assert np.linalg.eigvalsh(Minv @ A @ Minv).max() / 2.0 <= h * (1.0 + 1e-12)
+        assert barrier_check(E, h)["pass"]
 
 
 def test_barrier_detects_an_inflated_ellipsoid():

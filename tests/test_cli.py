@@ -337,6 +337,36 @@ def test_malformed_input_is_a_config_error(argv):
     _assert_config_error(_run_module(*argv))
 
 
+def test_unbounded_quadratic_sublevel_set_is_a_config_error():
+    # a valid quadratic solution, flat along axis 2: K_1 has no crossing there
+    _assert_config_error(
+        _run_module("barrier", "--candidate", "quadratic", "--A", "1,0,0;0,1,0;0,0,0", "--level", "1")
+    )
+
+
+def test_closed_form_subcommands_never_load_scipy():
+    script = """
+import contextlib, io, sys
+from sigma2lab.cli import main
+calls = [
+    ["verify", "--candidate", "counterexample", "--points", "200"],
+    ["curvature", "--candidate", "counterexample", "--sample", "20"],
+    ["barrier", "--candidate", "quadratic", "--level", "0.7"],
+    ["barrier", "--candidate", "heform", "--b-coeffs", '{"1,0": 0.3}', "--level", "0.7"],
+    ["legendre", "--candidate", "counterexample", "--x-spans", "1..1.5,1..1.5", "--shape", "5,5"],
+    ["classify", "--candidate", "counterexample"],
+    ["classify", "--candidate", "quadratic"],
+]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     # the parser is built once per process; no state may carry between calls
     calls = [

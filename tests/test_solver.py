@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sigma2lab import solver
@@ -72,6 +73,60 @@ def test_jacobian_is_the_exact_linearization(g):
     )
     rhs = sigma2_interior(v, g.spacing).ravel()
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def _coo_stencil_matrix(entries, interior_shape):
+    """Reference build from COO triplets: one (row, column, value) run per
+    offset, concatenated, then converted to CSR by scipy."""
+    n = int(np.prod(interior_shape))
+    base = np.arange(n).reshape(interior_shape)
+    rows, cols, vals = [], [], []
+    legs = {0: (slice(None), slice(None)), 1: (slice(0, -1), slice(1, None)), -1: (slice(1, None), slice(0, -1))}
+    for off, coeff in entries:
+        src = tuple(legs[o][0] for o in off)
+        tgt = tuple(legs[o][1] for o in off)
+        rows.append(base[src].ravel())
+        cols.append(base[tgt].ravel())
+        vals.append(np.broadcast_to(coeff, interior_shape)[src].ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Grid(((-1.0, 1.0), (0.0, 3.0)), (7, 9)),
+        cube(-1.0, 1.0, 9),
+        Grid(((-1.0, 1.0), (0.0, 3.0), (-0.5, 0.25)), (33, 17, 9)),
+    ],
+    ids=["plane7x9", "cube9", "box33x17x9"],
+)
+def test_cached_pattern_jacobian_is_bit_identical_to_coo_build(g, monkeypatch):
+    seen = []
+    stencil_matrix = solver._stencil_matrix
+
+    def recording(entries, interior_shape):
+        seen.append((entries, interior_shape))
+        return stencil_matrix(entries, interior_shape)
+
+    monkeypatch.setattr(solver, "_stencil_matrix", recording)
+    rng = np.random.default_rng(4)
+    for _ in range(2):  # the second assembly reuses the cached pattern
+        J = assemble_jacobian(ScalarField(g, rng.normal(size=g.shape)))
+        ref = _coo_stencil_matrix(*seen[-1])
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(J, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(21, 21, 21), (33, 17, 9)], ids=["cube21", "box33x17x9"])
+def test_cached_restriction_is_the_transposed_prolongation(shape):
+    rng = np.random.default_rng(5)
+    for P, R in solver._prolongations(shape):
+        r = rng.normal(size=P.shape[0])
+        np.testing.assert_array_equal(R @ r, P.T @ r)
 
 
 def test_jacobian_matches_finite_difference():
