@@ -377,13 +377,13 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
     d2 = (2,) + (0,) * (dim - 1)
 
     t_probe = np.linspace(t_span[0], t_span[1], 33)
-    probe = np.concatenate(
-        [np.column_stack([np.full(n_lines, t), x_pts]) for t in t_probe]
-    )
-    u11 = cand.eval_many(probe, d2)
-    if u11.min() <= 0.0:
+    # only the minimum is kept, so the probe points are freed before the roots
+    u11_min = cand.eval_many(
+        np.concatenate([np.column_stack([np.full(n_lines, t), x_pts]) for t in t_probe]), d2
+    ).min()
+    if u11_min <= 0.0:
         raise NotMonotone(
-            f"u_tt reaches {u11.min():.3e} <= 0 on the probe box; u_t is not invertible in t"
+            f"u_tt reaches {u11_min:.3e} <= 0 on the probe box; u_t is not invertible in t"
         )
     lo_pts = np.column_stack([np.full(n_lines, t_span[0]), x_pts])
     hi_pts = np.column_stack([np.full(n_lines, t_span[1]), x_pts])
@@ -407,14 +407,14 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
         z_count = 33
 
     z = np.linspace(z_span[0], z_span[1], z_count)
-    zz = np.repeat(z, n_lines)
-    pts = np.empty((zz.size, dim))
-    pts[:, 1:] = np.tile(x_pts, (z_count, 1))
-    t = np.empty(zz.size)
-    # blocks of nodes bound the working memory; nodes do not interact
-    for start in range(0, zz.size, _ROOT_BLOCK):
-        block = slice(start, start + _ROOT_BLOCK)
-        t[block] = _legendre_roots(cand, pts[block], zz[block], t_span)
+    t = np.empty(z_count * n_lines)
+    # blocks of nodes bound the working memory; nodes do not interact.  Node
+    # k of the (z, x) grid in C order sits at z[k // n_lines], x_pts[k % n_lines].
+    for start in range(0, t.size, _ROOT_BLOCK):
+        node = np.arange(start, min(start + _ROOT_BLOCK, t.size))
+        pts = np.empty((node.size, dim))
+        pts[:, 1:] = x_pts[node % n_lines]
+        t[start:start + node.size] = _legendre_roots(cand, pts, z[node // n_lines], t_span)
     out_grid = Grid((tuple(z_span), *tuple(tuple(s) for s in x_spans)), (z_count, *shape))
     return ScalarField(out_grid, t.reshape(out_grid.shape))
 

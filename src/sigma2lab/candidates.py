@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _MAX_ORDER = 4
+# points per block of the compensated residual: its few dozen temporaries of
+# this length stay in cache, and memory does not grow with the point count
+_RESIDUAL_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +297,19 @@ class CandidateSolution:
         return float(self.residual_many(point)[0])
 
     def residual_many(self, points) -> np.ndarray:
-        """sigma2_tilde(D^2 u) - 1, evaluated in compensated arithmetic."""
+        """sigma2_tilde(D^2 u) - 1, evaluated in compensated arithmetic.
+
+        The double-double temporaries are built for ``_RESIDUAL_BLOCK`` points
+        at a time; points do not interact, so the result is the same for any
+        block size.
+        """
         pts = _check_points(points, self.dim)
-        sigma = _sigma2_parts_dd(*self._residual_parts_dd(pts))
-        return dd.dd_to_float(dd.dd_add_d(sigma, -1.0))
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _RESIDUAL_BLOCK):
+            block = slice(start, start + _RESIDUAL_BLOCK)
+            sigma = _sigma2_parts_dd(*self._residual_parts_dd(pts[block]))
+            out[block] = dd.dd_to_float(dd.dd_add_d(sigma, -1.0))
+        return out
 
     def to_dict(self) -> dict:
         raise NotImplementedError

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -198,6 +199,44 @@ def _write_csv(args, name: str, header: list[str], rows) -> None:
         writer.writerows(rows())
 
 
+# rows per block when an array is written as CSV: the Python floats of one
+# block are made at a time, not of the whole array
+_CSV_BLOCK = 8192
+
+
+def _array_rows(*columns: np.ndarray):
+    """The rows of ``np.column_stack(columns)`` as lists of floats, made one
+    block of ``_CSV_BLOCK`` rows at a time."""
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        yield from np.column_stack([c[start:start + _CSV_BLOCK] for c in columns]).tolist()
+
+
+def _write_grid_csv(args, name: str, header: list[str], axes, columns) -> None:
+    """Write DIR/name with --out: one row per node of the tensor grid on
+    ``axes`` in C order, its coordinates and then the node's entry of each of
+    ``columns`` (arrays of the grid's shape).
+
+    The bytes are those csv.writer writes for these rows (floats as repr,
+    comma-separated, \\r\\n line ends), but each axis coordinate is formatted
+    once and the rows are made one leading-axis slab at a time.
+    """
+    if not args.out:
+        return
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    lead, *rest = ([repr(v) for v in np.asarray(ax, dtype=float).tolist()] for ax in axes)
+    # ",x1,x2" for every node of a slab, in C order
+    tails = ["".join("," + c for c in node) for node in itertools.product(*rest)]
+    values = [np.asarray(c, dtype=float).reshape(len(lead), len(tails)) for c in columns]
+    with open(out / name, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i, coord in enumerate(lead):
+            cells = [map(repr, v[i].tolist()) for v in values]
+            fh.write("".join(
+                coord + tail + "," + ",".join(row) + "\r\n" for tail, *row in zip(tails, *cells)
+            ))
+
+
 def _sample_box(rng, box, count: int) -> np.ndarray:
     if count < 1:
         raise ConfigError(f"need at least one sample point, got {count}")
@@ -235,7 +274,7 @@ def cmd_verify(args) -> int:
         args,
         "residuals.csv",
         [f"x{i}" for i in range(dim)] + ["residual"],
-        lambda: np.column_stack([pts, res]).tolist(),
+        lambda: _array_rows(pts, res),
     )
     return _emit(args, "verify", checks, payload)
 
@@ -348,7 +387,7 @@ def cmd_barrier(args) -> int:
         args,
         "ellipsoid_boundary.csv",
         [f"x{i}" for i in range(E.dim)],
-        lambda: E.boundary_points(256).tolist(),
+        lambda: _array_rows(E.boundary_points(256)),
     )
     return _emit(args, "barrier", checks, payload)
 
@@ -378,22 +417,27 @@ def cmd_legendre(args) -> int:
         "max_discrete_laplacian": harm,
     }
     if not isinstance(source, ScalarField):
-        pts = theta.grid.points()
+        # u_t(theta(z, x), x) = z, one z-slab at a time on the transverse mesh
+        z_axis, *x_axes = theta.grid.axes()
+        pts = np.empty((theta.values[0].size, theta.grid.dim))
+        pts[:, 1:] = np.stack([g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1)
         d1 = (1,) + (0,) * (source.dim - 1)
-        z_back = source.eval_many(
-            np.column_stack([theta.values.ravel(), pts[:, 1:]]), d1
-        )
-        rt = float(np.abs(z_back - pts[:, 0]).max())
+        slab_max = np.empty(z_axis.size)
+        for i, z in enumerate(z_axis):
+            pts[:, 0] = theta.values[i].ravel()
+            slab_max[i] = np.abs(source.eval_many(pts, d1) - z).max()
+        rt = float(slab_max.max())
         checks.append(_check("round_trip_max", rt, args.tol, rt <= args.tol))
         payload["round_trip_max"] = rt
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         theta.save(str(Path(args.out) / "theta"))
-        _write_csv(
+        _write_grid_csv(
             args,
             "theta.csv",
             [f"x{i}" for i in range(theta.grid.dim)] + ["theta"],
-            lambda: np.column_stack([theta.grid.points(), theta.values.ravel()]).tolist(),
+            theta.grid.axes(),
+            [theta.values],
         )
     return _emit(args, "legendre", checks, payload)
 
@@ -404,15 +448,13 @@ def cmd_classify(args) -> int:
     b_vals = rep.pop("b_values", None)
     g_vals = rep.pop("g_values", None)
     x_axes = rep.pop("x_axes", None)
-    if b_vals is not None and args.out:
-        axes = [np.asarray(a) for a in x_axes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        _write_csv(
+    if b_vals is not None:
+        _write_grid_csv(
             args,
             "extracted_b_g.csv",
-            [f"x{i+1}" for i in range(pts.shape[1])] + ["b", "g"],
-            lambda: np.column_stack([pts, np.asarray(b_vals).ravel(), np.asarray(g_vals).ravel()]).tolist(),
+            [f"x{i+1}" for i in range(len(x_axes))] + ["b", "g"],
+            x_axes,
+            [b_vals, g_vals],
         )
     rep["verdict"] = "He-form" if rep["is_he_form"] else "NOT-He-form"
     return _emit(args, "classify", [], rep)

@@ -173,9 +173,17 @@ class ScalarField:
             meta = json.loads(json_path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read field header {json_path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError(f"field header {json_path} is not a JSON object")
         if meta.get("byte_order") != "little":
             raise ConfigError(f"unsupported byte order {meta.get('byte_order')!r}")
-        grid = Grid(tuple(tuple(b) for b in meta["bounds"]), tuple(meta["resolution"]))
+        try:
+            grid = Grid(tuple(tuple(b) for b in meta["bounds"]), tuple(meta["resolution"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"field header {json_path} needs numeric 'bounds' pairs and a 'resolution' list "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         try:
             raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
         except OSError as exc:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sigma2lab.analysis import (
+    _ROOT_BLOCK,
     EllipsoidMap,
     SublevelSet,
     _axis_crossings,
+    _legendre_roots,
     barrier_check,
     harmonicity_test,
     he_reduction_report,
@@ -247,6 +249,40 @@ def test_legendre_round_trip_counterexample():
         np.column_stack([theta.values.ravel(), pts[:, 1:]]), (1, 0, 0)
     )
     assert np.abs(z_back - pts[:, 0]).max() <= 1e-10
+
+
+def _legendre_from_full_arrays(cand, theta, t_span):
+    """The Newton roots over whole-grid point arrays (np.repeat / np.tile),
+    in the same _ROOT_BLOCK blocks, as a reference for the blocked mesh."""
+    z_axis, *x_axes = theta.grid.axes()
+    x_pts = np.stack([g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1)
+    zz = np.repeat(z_axis, x_pts.shape[0])
+    pts = np.empty((zz.size, cand.dim))
+    pts[:, 1:] = np.tile(x_pts, (z_axis.size, 1))
+    t = np.empty(zz.size)
+    for start in range(0, zz.size, _ROOT_BLOCK):
+        block = slice(start, start + _ROOT_BLOCK)
+        t[block] = _legendre_roots(cand, pts[block], zz[block], t_span)
+    return t.reshape(theta.grid.shape)
+
+
+@pytest.mark.parametrize(
+    "cand, x_spans, shape, z_count",
+    [
+        (Counterexample(), ((1.0, 2.0), (1.0, 2.0)), (29, 29), 41),
+        (Quadratic(np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), b=[1.0, 0.0, -2.0]),
+         ((-0.2, 0.2), (-0.5, 0.5)), (29, 29), 41),
+        (make_he_form(0.5, HarmonicPoly(2, {(2, 0): 1.0, (0, 2): -1.0})), ((-0.5, 0.5),) * 2, (29, 29), 41),
+        (make_he_form(1.5, HarmonicPoly(1, {(1,): 3.0})), ((-0.5, 0.5),), (67,), 521),
+    ],
+    ids=["counterexample", "quadratic", "he_form-3d", "he_form-2d"],
+)
+def test_legendre_blocks_match_full_point_arrays(cand, x_spans, shape, z_count):
+    t_span = (-1.0, 1.0)
+    theta = partial_legendre(cand, t_span=t_span, x_spans=x_spans, shape=shape, z_count=z_count)
+    assert theta.grid.n_nodes > _ROOT_BLOCK  # two blocks, the second one partial
+    want = _legendre_from_full_arrays(cand, theta, t_span)
+    assert np.array_equal(theta.values.view(np.uint64), want.view(np.uint64))
 
 
 class _SteepTanh:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigma2lab import _ddouble as dd
 from sigma2lab.candidates import (
+    _RESIDUAL_BLOCK,
     Counterexample,
     HarmonicPoly,
     HeForm,
@@ -13,6 +17,7 @@ from sigma2lab.candidates import (
     candidate_from_json,
     candidate_to_json,
     is_he_form,
+    _sigma2_parts_dd,
     make_he_form,
 )
 from sigma2lab.errors import ConfigError, DegreeTooHigh, UnsupportedOrder
@@ -120,6 +125,45 @@ def test_residual_single_point_matches_batch():
     ce = Counterexample()
     p = np.array([0.3, -1.2, 0.7])
     assert ce.residual(p) == ce.residual_many(p[None, :])[0]
+
+
+BLOCK_CANDIDATES = [
+    Quadratic(np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), b=[1.0, 0.0, -2.0]),
+    Counterexample(0.7),
+    make_he_form(0.75, HarmonicPoly(2, {(2, 0): 0.4, (0, 2): -0.4, (1, 1): 1.0, (1, 0): -0.5})),
+    make_he_form(1.5, HarmonicPoly(1, {(1,): 3.0, (0,): -0.25})),
+]
+
+
+@pytest.mark.parametrize("cand", BLOCK_CANDIDATES, ids=lambda c: f"{c.variant}-{c.dim}d")
+@pytest.mark.parametrize(
+    "count",
+    [_RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK, _RESIDUAL_BLOCK + 1, 3 * _RESIDUAL_BLOCK + 17],
+)
+def test_blocked_residual_matches_one_block_bit_for_bit(cand, count):
+    pts = random_points(5, count, cand.dim, -6.0, 6.0)
+    sigma = _sigma2_parts_dd(*cand._residual_parts_dd(pts))
+    one_block = dd.dd_to_float(dd.dd_add_d(sigma, -1.0))
+    got = cand.residual_many(pts)
+    assert got.shape == (count,)
+    assert np.array_equal(got.view(np.uint64), one_block.view(np.uint64))
+
+
+def test_residual_memory_grows_by_its_output_only():
+    ce = Counterexample()
+
+    def traced_peak(count):
+        pts = random_points(6, count, 3)
+        tracemalloc.start()
+        try:
+            ce.residual_many(pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the blocks' temporaries are the same at both sizes; the output is 8 bytes a point
+    growth = traced_peak(200_000) - traced_peak(50_000)
+    assert growth <= 1.1 * 8 * 150_000
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigma2lab.cli import _parser, main
+from sigma2lab.analysis import _ROOT_BLOCK
+from sigma2lab.cli import _parser, _write_grid_csv, main
 from sigma2lab.core_ops import Grid, ScalarField
 from sigma2lab.candidates import Quadratic
 
@@ -406,3 +408,88 @@ def test_full_suite_roster_parses_and_covers_every_subcommand(quick):
         args = parser.parse_args(argv)  # a bad entry exits 2 here
         assert args.subcommand == argv[0], name
     assert {argv[0] for _, argv in roster} == set(subparsers.choices)
+
+
+_BAD_FIELD_HEADERS = {
+    "no-bounds": {"dim": 3, "resolution": [5, 5, 5], "byte_order": "little"},
+    "json-list": [[-1.0, 1.0], [5, 5, 5]],
+    "resolution-text": {"dim": 2, "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "resolution": [5, "x"],
+                        "byte_order": "little"},
+}
+
+
+@pytest.mark.parametrize("header", list(_BAD_FIELD_HEADERS))
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["legendre"], ["solve", "--grid", "3,-1..1,5"]],
+    ids=["classify", "legendre", "solve"],
+)
+def test_malformed_field_header_is_a_config_error(tmp_path, header, argv):
+    (tmp_path / "q.fld.json").write_text(json.dumps(_BAD_FIELD_HEADERS[header]))
+    (tmp_path / "q.fld.bin").write_bytes(np.zeros(125).tobytes())
+    _assert_config_error(_run_module(*argv, "--field", str(tmp_path / "q")))
+
+
+def _csv_writer_bytes(path, header, axes, columns):
+    """The reference rendering: csv.writer over whole-grid point rows."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rows = np.column_stack([m.ravel() for m in mesh] + [np.ravel(c) for c in columns])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows.tolist())
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("dim", [3, 2, 1])
+def test_grid_csv_matches_csv_writer(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    axes = [
+        np.array([-2.5, -0.0, 1e-5, 0.1 + 0.2]),
+        np.array([-1.0, -1.0 / 3.0, 0.0, 7.0, 1e16]),
+        np.array([-0.0, -3.25e-300]),
+    ][:dim]
+    shape = tuple(a.size for a in axes)
+    theta = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    theta.flat[0] = -0.0
+    other = -np.abs(rng.standard_normal(shape))
+    header = [f"x{i}" for i in range(dim)] + ["theta", "other"]
+    args = argparse.Namespace(out=str(tmp_path / "out"))
+    _write_grid_csv(args, "grid.csv", header, axes, [theta, other])
+    want = _csv_writer_bytes(tmp_path / "ref.csv", header, axes, [theta, other])
+    assert (tmp_path / "out" / "grid.csv").read_bytes() == want
+
+
+def test_legendre_round_trip_matches_whole_grid_evaluation(tmp_path, capsys):
+    cand = Quadratic(np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), b=[1.0, 0.0, -2.0])
+    spec = json.dumps(cand.to_dict())
+    code, doc, _ = run(
+        capsys, "legendre", "--candidate", spec, "--x-spans=-0.2..0.2,-0.5..0.5",
+        "--shape", "9,7", "--z-count", "11", "--out", str(tmp_path),
+    )
+    assert code == 0
+    theta = ScalarField.load(tmp_path / "theta")
+    pts = theta.grid.points()
+    z_back = cand.eval_many(np.column_stack([theta.values.ravel(), pts[:, 1:]]), (1, 0, 0))
+    assert doc["round_trip_max"] == float(np.abs(z_back - pts[:, 0]).max())
+
+
+def test_legendre_memory_is_bounded_by_its_blocks(capsys):
+    m = 65
+    argv = ["legendre", "--candidate", "counterexample", "--t-span=-1..2",
+            "--x-spans=1.0..1.5,1.0..1.5", "--shape", f"{m},{m}", "--z-span=5.0..6.0",
+            "--z-count", str(m)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    # theta itself, then the larger of the root blocks' working arrays (about
+    # 20 of _ROOT_BLOCK floats) and the discrete Laplacian's few interior-size
+    # temporaries, plus 1 MB for the transverse mesh, the report and the parser
+    nodes = m**3
+    bound = 8 * (nodes + max(24 * _ROOT_BLOCK, 4 * nodes)) + 1_000_000
+    assert peak <= bound
