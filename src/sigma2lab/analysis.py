@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import Quadratic, is_he_form
-from .core_ops import Grid, ScalarField, fd_hessian, laplacian, second_diff, sigma2_tilde
+from .core_ops import (
+    Grid,
+    ScalarField,
+    fd_hessian,
+    laplacian,
+    mesh_points,
+    second_diff,
+    sigma2_tilde,
+)
 from .errors import (
     ConfigError,
     NoInteriorPoint,
@@ -32,6 +40,7 @@ __all__ = [
     "inscribe_ellipsoid",
     "barrier_check",
     "partial_legendre",
+    "legendre_round_trip",
     "harmonicity_test",
     "he_reduction_report",
 ]
@@ -199,8 +208,7 @@ class SublevelSet:
         if h <= 0.0:
             raise NoInteriorPoint(f"level h = {h} admits no interior point (min u = 0)")
         dim = candidate.dim
-        axes = [np.linspace(-convexity_box, convexity_box, 5)] * dim
-        probe = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        probe = mesh_points([np.linspace(-convexity_box, convexity_box, 5)] * dim)
         eigs = np.linalg.eigvalsh(candidate.hessian_many(probe))
         if eigs.min() < -1e-8:
             raise NotConvex(
@@ -369,9 +377,7 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
             f"need {dim - 1} transverse spans and {dim - 1} node counts of at least 5, "
             f"got {len(x_spans)} spans and shape {tuple(shape)}"
         )
-    x_axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(x_spans, shape)]
-    x_mesh = np.meshgrid(*x_axes, indexing="ij")
-    x_pts = np.stack([g.ravel() for g in x_mesh], axis=-1)
+    x_pts = mesh_points([np.linspace(lo, hi, m) for (lo, hi), m in zip(x_spans, shape)])
     n_lines = x_pts.shape[0]
     d1 = (1,) + (0,) * (dim - 1)
     d2 = (2,) + (0,) * (dim - 1)
@@ -497,6 +503,20 @@ def partial_legendre(
     return _legendre_from_candidate(source, t_span, x_spans, shape, z_span, z_count)
 
 
+def legendre_round_trip(cand, theta: ScalarField) -> float:
+    """max |u_t(theta(z, x), x) - z| over the (z, x) grid of ``theta``, one
+    z-slab at a time on the transverse mesh."""
+    z_axis, *x_axes = theta.grid.axes()
+    pts = np.empty((theta.values[0].size, theta.grid.dim))
+    pts[:, 1:] = mesh_points(x_axes)
+    d1 = (1,) + (0,) * (cand.dim - 1)
+    slab_max = np.empty(z_axis.size)
+    for i, z in enumerate(z_axis):
+        pts[:, 0] = theta.values[i].ravel()
+        slab_max[i] = np.abs(cand.eval_many(pts, d1) - z).max()
+    return float(slab_max.max())
+
+
 def harmonicity_test(theta: ScalarField) -> float:
     """Max absolute discrete Laplacian (over all variables) at interior nodes."""
     return float(np.abs(laplacian(theta.values, theta.grid.spacing)).max())
@@ -506,8 +526,7 @@ def _he_extract_candidate(cand, box, samples_per_axis):
     dim = cand.dim
     nt = dim - 1
     x_axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in box[1:]]
-    x_mesh = np.meshgrid(*x_axes, indexing="ij")
-    x_pts = np.stack([g.ravel() for g in x_mesh], axis=-1)
+    x_pts = mesh_points(x_axes)
     zero_t = np.column_stack([np.zeros(x_pts.shape[0]), x_pts])
 
     def dcount(t_order, x_orders):

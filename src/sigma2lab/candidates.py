@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _ddouble as dd
-from .core_ops import sigma2_tilde
+from .core_ops import mesh_points, sigma2_tilde
 from .errors import ConfigError, DegreeTooHigh, UnsupportedOrder
 
 __all__ = [
@@ -583,9 +583,7 @@ def is_he_form(candidate: CandidateSolution, box=None, samples_per_axis: int = 3
     n = candidate.dim
     if box is None:
         box = [(-2.0, 2.0)] * n
-    axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = mesh_points([np.linspace(lo, hi, samples_per_axis) for lo, hi in box])
     index = (2,) + (0,) * (n - 1)
     utt = candidate.eval_many(pts, index)
     osc = float(utt.max() - utt.min())

@@ -30,6 +30,7 @@ from .errors import BoundaryNode, ConfigError
 
 __all__ = [
     "Grid",
+    "mesh_points",
     "ScalarField",
     "sigma2_tilde",
     "sigma2_linearization",
@@ -41,6 +42,12 @@ __all__ = [
     "hessian_parts",
     "sigma2_interior",
 ]
+
+
+def mesh_points(axes) -> np.ndarray:
+    """The nodes of the tensor grid on ``axes``, shape (n_nodes, len(axes)),
+    in C node order (the last axis varies fastest)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,7 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), C node order."""
-        mesh = self.meshgrid()
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        return mesh_points(self.axes())
 
     def coords(self, node: tuple[int, ...]) -> np.ndarray:
         if len(node) != self.dim:

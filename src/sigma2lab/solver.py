@@ -39,7 +39,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
-from .core_ops import Grid, ScalarField, hessian_parts, laplacian, second_diff, sigma2_interior
+from .core_ops import (
+    Grid,
+    ScalarField,
+    hessian_parts,
+    laplacian,
+    mesh_points,
+    second_diff,
+    sigma2_interior,
+)
 from .errors import (
     ConfigError,
     EllipticityLost,
@@ -615,8 +623,7 @@ def rigidity_sweep(
         raise ConfigError(f"relative spacing h={h} gives only {m} nodes per axis (need >= 5)")
     dim = base.dim
     lmax = max(sizes)
-    probe_axes = [np.linspace(-lmax, lmax, 5)] * dim
-    probe = np.stack([g.ravel() for g in np.meshgrid(*probe_axes, indexing="ij")], axis=-1)
+    probe = mesh_points([np.linspace(-lmax, lmax, 5)] * dim)
     eigs = np.linalg.eigvalsh(base.hessian_many(probe))
     if eigs.min() < -1e-9:
         raise NotConvex(

@@ -11,6 +11,7 @@ from sigma2lab.analysis import (
     harmonicity_test,
     he_reduction_report,
     inscribe_ellipsoid,
+    legendre_round_trip,
     partial_legendre,
 )
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
@@ -249,6 +250,7 @@ def test_legendre_round_trip_counterexample():
         np.column_stack([theta.values.ravel(), pts[:, 1:]]), (1, 0, 0)
     )
     assert np.abs(z_back - pts[:, 0]).max() <= 1e-10
+    assert legendre_round_trip(ce, theta) == np.abs(z_back - pts[:, 0]).max()
 
 
 def _legendre_from_full_arrays(cand, theta, t_span):

@@ -460,6 +460,16 @@ def test_grid_csv_matches_csv_writer(tmp_path, dim):
     assert (tmp_path / "out" / "grid.csv").read_bytes() == want
 
 
+def test_grid_csv_header_is_quoted_like_csv_writer(tmp_path):
+    axes = [np.array([0.0, 1.5]), np.array([-1.0, 2.0, 3.0])]
+    theta = np.arange(6.0).reshape(2, 3)
+    header = ["x0", "x 1", 'theta, "rad"']
+    args = argparse.Namespace(out=str(tmp_path / "out"))
+    _write_grid_csv(args, "grid.csv", header, axes, [theta])
+    want = _csv_writer_bytes(tmp_path / "ref.csv", header, axes, [theta])
+    assert (tmp_path / "out" / "grid.csv").read_bytes() == want
+
+
 def test_legendre_round_trip_matches_whole_grid_evaluation(tmp_path, capsys):
     cand = Quadratic(np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), b=[1.0, 0.0, -2.0])
     spec = json.dumps(cand.to_dict())
