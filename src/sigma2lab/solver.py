@@ -10,15 +10,23 @@ coefficients Lap_x u, u_tt and -2 u_ti of its u_tt, u_ii and u_ti stencils.
 Boundary nodes are hard Dirichlet constraints eliminated from the linear
 systems.
 
-Each Newton correction solves J delta = -F by GMRES preconditioned with one
-multigrid V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*).  The
-levels are the dyadic ladder of ``_coarsen_levels``, the same one the auto
-start refines along; coarse operators are the Galerkin products P^T J P with
-P the trilinear prolongation of interior corrections (zero on the boundary),
-every level but the coarsest smooths with damped Jacobi, and the coarsest
-level alone is factorised by sparse LU.  A grid with no dyadic ladder (an
-even node count, say) is the one-level case: its coarsest level is J itself.
-Every solve must reach relative residual 1e-10 or raise LinearSolveFailure.
+Each Newton correction solves J delta = -F by restarted GMRES (Saad &
+Schultz, *SIAM J. Sci. Stat. Comput.* 1986), right-preconditioned with one
+multigrid V-cycle M (Briggs, Henson & McCormick, *A Multigrid Tutorial*):
+the Krylov space is that of J M, so the Arnoldi residual it stops on is the
+residual of J delta = -F itself.  Each new basis vector is orthogonalised
+against the whole basis block by CGS2, classical Gram-Schmidt run twice
+(Giraud, Langou, Rozložník & van den Eshof, *Numer. Math.* 2005), which
+keeps the basis orthogonal to working precision in two block passes.
+
+The V-cycle levels are the dyadic ladder of ``_coarsen_levels``, the same
+one the auto start refines along; coarse operators are the Galerkin products
+P^T J P with P the trilinear prolongation of interior corrections (zero on
+the boundary), every level but the coarsest smooths with damped Jacobi, and
+the coarsest level alone is factorised by sparse LU.  A grid with no dyadic
+ladder (an even node count, say) is the one-level case: its coarsest level
+is J itself.  Every solve must reach relative residual 1e-10 or raise
+LinearSolveFailure.
 
 Initialization ("auto") solves one discrete Laplace problem with the given
 boundary data plus one Poisson problem with unit load, then picks the
@@ -31,6 +39,7 @@ exactly by the type-1 discrete sine transform (Buzbee, Golub & Nielson
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -38,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
+from scipy.linalg import solve_triangular
 
 from .core_ops import (
     Grid,
@@ -67,9 +77,11 @@ __all__ = [
 ]
 
 _LINEAR_RELRES = 1e-10
-# linear solve: GMRES(_GMRES_RESTART) for at most _GMRES_CYCLES restarts,
+# linear solve: GMRES(_GMRES_RESTART) with CGS2 Arnoldi for at most
+# _GMRES_CYCLES cycles, each starting from the true residual, right-
 # preconditioned by a V(_SMOOTHING_SWEEPS, _SMOOTHING_SWEEPS) cycle whose
-# Jacobi sweeps are damped by _JACOBI_WEIGHT
+# Jacobi sweeps are damped by _JACOBI_WEIGHT.  The basis holds
+# _GMRES_RESTART + 1 vectors of the fine grid's interior size.
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 5
 _SMOOTHING_SWEEPS = 2
@@ -289,12 +301,76 @@ def _cycle(ops, weights, transfers, coarsest, level: int, rhs: np.ndarray) -> np
     return x
 
 
+def _gmres(mat, rhs: np.ndarray, precond) -> tuple[np.ndarray, int, int]:
+    """Right-preconditioned GMRES(_GMRES_RESTART) for ``mat x = rhs`` in at most
+    _GMRES_CYCLES cycles; returns x, the Krylov iterations and the restarts.
+
+    Each cycle runs Arnoldi on ``mat @ precond`` from the true residual and
+    orthogonalises each new vector against the basis block by CGS2: two
+    classical Gram-Schmidt passes, each a product with the block and one with
+    its transpose.  The Hessenberg columns are reduced by Givens rotations as
+    they arrive; the cycle stops once the Arnoldi residual |g_k| is at most
+    _LINEAR_RELRES * ||rhs||, then adds precond(V_k y) to x.  The
+    preconditioned vectors are not stored: that costs one more ``precond``
+    per cycle and keeps the memory to the one basis V.  A non-finite
+    residual or Hessenberg entry and a zero pivot (a singular ``mat @
+    precond``) raise LinearSolveFailure at once.
+    """
+    m = _GMRES_RESTART
+    tol = _LINEAR_RELRES * float(np.linalg.norm(rhs))
+    x = np.zeros(rhs.shape[0])
+    V = np.empty((m + 1, rhs.shape[0]))
+    tri = np.zeros((m, m))  # the Hessenberg matrix reduced by Givens rotations
+    iters = 0
+    for cycle in range(_GMRES_CYCLES):
+        r = rhs - mat @ x if cycle else rhs
+        beta = float(np.linalg.norm(r))
+        if not math.isfinite(beta):
+            raise LinearSolveFailure(f"GMRES residual is non-finite after {iters} Krylov iterations")
+        if beta <= tol:
+            return x, iters, max(cycle - 1, 0)
+        V[0] = r / beta
+        rotations, g = [], [beta]
+        for j in range(m):
+            basis = V[: j + 1]
+            w = mat @ precond(V[j])
+            h = basis @ w
+            w -= h @ basis
+            h2 = basis @ w
+            w -= h2 @ basis
+            h += h2
+            h_next = float(np.linalg.norm(w))
+            iters += 1
+            if not (math.isfinite(h_next) and np.isfinite(h).all()):
+                raise LinearSolveFailure(
+                    f"GMRES Hessenberg entry is non-finite at Krylov iteration {iters}"
+                )
+            col = h.tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            pivot = math.hypot(col[j], h_next)
+            if pivot == 0.0:
+                raise LinearSolveFailure(
+                    f"GMRES met a zero Givens pivot at Krylov iteration {iters}: "
+                    "the preconditioned matrix is singular"
+                )
+            c, s = col[j] / pivot, h_next / pivot
+            rotations.append((c, s))
+            col[j] = pivot
+            tri[: j + 1, j] = col
+            g.append(-s * g[j])
+            g[j] *= c
+            if abs(g[j + 1]) <= tol:
+                break
+            V[j + 1] = w / h_next
+        k = len(rotations)
+        x += precond(solve_triangular(tri[:k, :k], g[:k]) @ V[:k])
+    return x, iters, _GMRES_CYCLES - 1
+
+
 def _solve_sparse(mat: sp.csr_matrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve ``mat x = rhs`` for the interior unknowns of ``grid`` to relative residual 1e-10."""
-    precond = spla.LinearOperator(mat.shape, matvec=_v_cycle(mat, grid.shape))
-    x, _ = spla.gmres(
-        mat, rhs, rtol=_LINEAR_RELRES, restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=precond
-    )
+    x, iters, restarts = _gmres(mat, rhs, _v_cycle(mat, grid.shape))
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("sparse solve produced non-finite values")
     denom = np.linalg.norm(rhs)
@@ -302,7 +378,8 @@ def _solve_sparse(mat: sp.csr_matrix, rhs: np.ndarray, grid: Grid) -> np.ndarray
         relres = np.linalg.norm(mat @ x - rhs) / denom
         if not relres <= _LINEAR_RELRES:  # NaN fails too
             raise LinearSolveFailure(
-                f"inner linear solve reached relative residual {relres:.3e} > {_LINEAR_RELRES}"
+                f"inner linear solve reached relative residual {relres:.3e} > {_LINEAR_RELRES} "
+                f"(Krylov iterations {iters}, restarts {restarts})"
             )
     return x
 

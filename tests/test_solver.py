@@ -152,12 +152,15 @@ def _relres(mat, x, rhs):
     return np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs)
 
 
-def test_multigrid_solve_matches_direct_solve_on_newton_path():
-    g = cube(-1.0, 1.0, 25)
-    assert len(solver._prolongations(g.shape)) == 2  # three levels: 7^3, 13^3, 25^3
+def _first_newton_system(m):
+    g = cube(-1.0, 1.0, m)
     u0 = solver._auto_init(DirichletProblem.from_candidate(g, Counterexample(0.25)))
-    J = assemble_jacobian(u0)
-    rhs = -assemble_residual(u0)  # the first Newton system
+    return g, assemble_jacobian(u0), -assemble_residual(u0)
+
+
+def test_multigrid_solve_matches_direct_solve_on_newton_path():
+    g, J, rhs = _first_newton_system(25)
+    assert len(solver._prolongations(g.shape)) == 2  # three levels: 7^3, 13^3, 25^3
     x = solver._solve_sparse(J, rhs, g)
     direct = spla.splu(J.tocsc()).solve(rhs)
     assert _relres(J, x, rhs) <= 1e-10
@@ -191,6 +194,104 @@ def test_gmres_that_stops_short_fails_without_fallback(monkeypatch):
     J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
     with pytest.raises(LinearSolveFailure, match="relative residual"):
         solver._solve_sparse(J, np.ones(J.shape[0]), g)
+
+
+def test_linear_solve_failure_names_krylov_iterations_and_restarts(monkeypatch):
+    monkeypatch.setattr(solver, "_GMRES_RESTART", 3)
+    monkeypatch.setattr(solver, "_GMRES_CYCLES", 2)
+    g = cube(-1.0, 1.0, 13)
+    J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
+    with pytest.raises(LinearSolveFailure, match=r"\(Krylov iterations 6, restarts 1\)$"):
+        solver._solve_sparse(J, np.ones(J.shape[0]), g)
+
+
+def _identity(v):
+    return v
+
+
+def test_gmres_matches_dense_solve_with_identity_preconditioner():
+    rng = np.random.default_rng(11)
+    n = 30
+    A = 3.0 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)  # non-symmetric
+    rhs = rng.normal(size=n)
+    x, iters, restarts = solver._gmres(A, rhs, _identity)
+    assert iters <= n and restarts == 0
+    assert _relres(A, x, rhs) <= 1e-10
+    direct = np.linalg.solve(A, rhs)
+    assert np.linalg.norm(x - direct) <= 1e-9 * np.linalg.norm(direct)
+
+
+def test_gmres_krylov_exhaustion_is_a_clean_breakdown():
+    # 27 unknowns < _GMRES_RESTART: the Krylov space of J runs out within one
+    # cycle, and the step that exhausts it must end the solve, not divide by ~0
+    g = cube(-1.0, 1.0, 5)
+    J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
+    assert J.shape[0] < solver._GMRES_RESTART
+    rhs = np.random.default_rng(5).normal(size=J.shape[0])
+    x, iters, restarts = solver._gmres(J, rhs, _identity)
+    assert iters <= J.shape[0] and restarts == 0
+    assert _relres(J, x, rhs) <= 1e-10
+
+
+def test_gmres_restart_path_agrees_with_splu(monkeypatch):
+    monkeypatch.setattr(solver, "_GMRES_RESTART", 4)
+    monkeypatch.setattr(solver, "_GMRES_CYCLES", 60)
+    g, J, rhs = _first_newton_system(13)
+    x, iters, restarts = solver._gmres(J, rhs, solver._v_cycle(J, g.shape))
+    assert restarts >= 1 and iters > 4
+    direct = spla.splu(J.tocsc()).solve(rhs)
+    assert _relres(J, x, rhs) <= 1e-10
+    assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_first_newton_system_at_25_cubed_takes_at_most_22_v_cycles(monkeypatch):
+    g, J, rhs = _first_newton_system(25)
+    applied = []
+    v_cycle = solver._v_cycle
+
+    def counted(mat, shape):
+        cycle = v_cycle(mat, shape)
+        return lambda r: applied.append(1) or cycle(r)
+
+    monkeypatch.setattr(solver, "_v_cycle", counted)
+    x = solver._solve_sparse(J, rhs, g)
+    assert _relres(J, x, rhs) <= 1e-10
+    assert len(applied) <= 22
+
+
+@pytest.mark.parametrize("where, precond_calls", [("rhs", 0), ("matrix", 1)])
+def test_gmres_stops_at_once_on_nan(where, precond_calls):
+    n = 12
+    A = np.eye(n) + np.diag(np.full(n - 1, 0.5), 1)
+    rhs = np.ones(n)
+    if where == "rhs":
+        rhs[3] = np.nan
+    else:
+        A[3, 4] = np.nan
+    calls = []
+    with pytest.raises(LinearSolveFailure, match="non-finite"):
+        solver._gmres(A, rhs, lambda v: calls.append(1) or v)
+    assert len(calls) == precond_calls
+
+
+def test_nan_in_newton_rhs_raises_linear_solve_failure():
+    g = cube(-1.0, 1.0, 13)
+    J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
+    rhs = np.ones(J.shape[0])
+    rhs[7] = np.nan
+    with pytest.raises(LinearSolveFailure, match="non-finite after 0 Krylov iterations"):
+        solver._solve_sparse(J, rhs, g)
+
+
+def test_gmres_zero_givens_pivot_raises_linear_solve_failure():
+    # the shift matrix maps e_k to e_(k-1) and e_1 to 0: A x = e_n has no
+    # solution, and Arnoldi meets an exactly zero pivot at its n-th step
+    n = 6
+    A = np.eye(n, k=1)
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    with pytest.raises(LinearSolveFailure, match=f"zero Givens pivot at Krylov iteration {n}"):
+        solver._gmres(A, rhs, _identity)
 
 
 def test_sine_transform_poisson_solve_on_anisotropic_grid():
