@@ -409,7 +409,7 @@ def cmd_legendre(args) -> int:
             raise ConfigError(f"bad --shape {args.shape!r}, expected node counts 'm2,m3'") from exc
     if args.z_span:
         kwargs["z_span"] = _parse_span(args.z_span)
-    if args.z_count:
+    if args.z_count is not None:
         kwargs["z_count"] = args.z_count
     theta = analysis.partial_legendre(source, **kwargs)
     harm = analysis.harmonicity_test(theta)

@@ -35,6 +35,12 @@ exact root of a scalar quadratic.  For quadratic boundary data this lands on
 the discrete solution itself.  Both Dirichlet problems are diagonalised
 exactly by the type-1 discrete sine transform (Buzbee, Golub & Nielson
 1970), so the calibration costs a few FFTs instead of a factorisation.
+When no calibrated root keeps u_tt > 0 (the exponential data, say), the
+start is built on the coarsest level of the dyadic ladder by a boundary-
+amplitude homotopy, then carried up the ladder one Newton solve per level.
+Each level's solution reaches the next, finer one through the tensor-product
+not-a-knot cubic spline, exact at the halved spacing and applied as one
+small dense matrix per axis (``_cubic_prolongation_1d``).
 """
 
 from __future__ import annotations
@@ -499,13 +505,51 @@ def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _prolong(coarse: ScalarField, fine_grid: Grid) -> np.ndarray:
-    # cubic, not linear: the fine-grid second differences of a piecewise-linear
-    # interpolant vanish at inserted nodes, which would violate the u_tt > 0 guard
-    from scipy.interpolate import RegularGridInterpolator
+@lru_cache(maxsize=16)
+def _cubic_prolongation_1d(m: int) -> np.ndarray:
+    """Not-a-knot cubic spline through m equispaced nodes, read off at the
+    2m - 1 nodes of the halved spacing, as a dense read-only (2m - 1, m) matrix.
 
-    interp = RegularGridInterpolator(coarse.grid.axes(), coarse.values, method="cubic")
-    return interp(fine_grid.points()).reshape(fine_grid.shape)
+    In unit spacing the moments M_j = s''(x_j) solve M_{j-1} + 4 M_j + M_{j+1}
+    = 6 (y_{j-1} - 2 y_j + y_{j+1}) at the inner nodes, and not-a-knot asks
+    for a continuous third derivative at x_1 and x_{m-2}: M_0 - 2 M_1 + M_2 = 0
+    and its mirror image.  Even fine rows copy a node; the odd row between
+    nodes j and j+1 is the midpoint value (y_j + y_{j+1})/2 - (M_j + M_{j+1})/16.
+    The spacing cancels, so one matrix serves every axis with m nodes.
+    """
+    inner = np.arange(1, m - 1)
+    lhs = np.zeros((m, m))
+    rhs = np.zeros((m, m))
+    for off, a, b in ((-1, 1.0, 6.0), (0, 4.0, -12.0), (1, 1.0, 6.0)):
+        lhs[inner, inner + off] = a
+        rhs[inner, inner + off] = b
+    lhs[0, :3] = lhs[-1, -3:] = (1.0, -2.0, 1.0)
+    moments = np.linalg.solve(lhs, rhs)  # M = moments @ y
+    nodes = np.eye(m)
+    out = np.empty((2 * m - 1, m))
+    out[0::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:]) - (moments[:-1] + moments[1:]) / 16.0
+    out.flags.writeable = False
+    return out
+
+
+def _prolong(coarse: ScalarField, fine_grid: Grid) -> np.ndarray:
+    """Tensor-product not-a-knot cubic interpolant of ``coarse`` at the nodes of
+    ``fine_grid``, which must halve the spacing of every axis.
+
+    Cubic, not linear: the fine-grid second differences of a piecewise-linear
+    interpolant vanish at inserted nodes, which would violate the u_tt > 0 guard.
+    """
+    shape = coarse.grid.shape
+    if fine_grid.dim != coarse.grid.dim or any(f != 2 * m - 1 for m, f in zip(shape, fine_grid.shape)):
+        raise ConfigError(
+            f"cubic prolongation needs node counts (m, 2m - 1) on every axis, "
+            f"got {shape} -> {fine_grid.shape}"
+        )
+    vals = coarse.values
+    for axis, m in enumerate(shape):
+        vals = np.moveaxis(np.tensordot(_cubic_prolongation_1d(m), vals, axes=(1, axis)), 0, axis)
+    return np.ascontiguousarray(vals)
 
 
 def _amplitude_homotopy(problem: DirichletProblem, entry: ScalarField) -> ScalarField:
@@ -582,6 +626,8 @@ def newton_solve(
     h = grid.spacing
     if tol is None:
         tol = problem.default_tol()
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"Newton tolerance must be finite and positive, got {tol}")
     if isinstance(init, str):
         if init != "auto":
             raise ConfigError(f"init must be a ScalarField or 'auto', got {init!r}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sigma2lab.analysis import (
+    _LAPLACIAN_BLOCK,
     _ROOT_BLOCK,
     EllipsoidMap,
     SublevelSet,
@@ -15,7 +16,7 @@ from sigma2lab.analysis import (
     partial_legendre,
 )
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
-from sigma2lab.core_ops import Grid, ScalarField, sigma2_tilde
+from sigma2lab.core_ops import Grid, ScalarField, laplacian, sigma2_tilde
 from sigma2lab.errors import (
     ConfigError,
     NoInteriorPoint,
@@ -378,6 +379,34 @@ def test_harmonicity_test_zero_for_affine_field():
     g = Grid(((-1.0, 1.0),) * 2, (9, 9))
     theta = ScalarField.from_callable(g, lambda z, x: 2.0 * z - 3.0 * x + 1.0)
     assert harmonicity_test(theta) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(40, 65, 65), (5, 9, 9), (300, 17)], ids=["blocks", "one-block", "2d"])
+def test_slab_wise_harmonicity_equals_the_whole_grid_laplacian(shape):
+    g = Grid(tuple((-1.0, 1.0 + a) for a in range(len(shape))), shape)
+    theta = ScalarField(g, np.random.default_rng(8).normal(size=shape))
+    assert harmonicity_test(theta) == np.abs(laplacian(theta.values, g.spacing)).max()
+
+
+def test_slab_wise_harmonicity_memory_follows_the_block_size():
+    import tracemalloc
+
+    g = Grid(((-1.0, 1.0),) * 3, (129, 65, 65))
+    theta = ScalarField(g, np.random.default_rng(8).normal(size=g.shape))
+    tracemalloc.start()
+    harmonicity_test(theta)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # eight block-sized arrays; three whole-interior temporaries were 11.6 MB
+    assert peak <= 8 * 8 * _LAPLACIAN_BLOCK
+
+
+@pytest.mark.parametrize("z_count", [-3, 0, 4])
+def test_legendre_needs_five_z_nodes(z_count):
+    field = ScalarField.sample(Grid(((-1.0, 1.0),) * 3, (9, 9, 9)), Counterexample(0.25))
+    for source in (Counterexample(0.25), field):
+        with pytest.raises(ConfigError, match="at least 5 z nodes"):
+            partial_legendre(source, z_count=z_count)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,7 @@ def test_bad_legendre_shape_is_a_config_error(shape):
     )
 
 
+_SOLVE_9 = ["solve", "--candidate", "counterexample", "--grid", "3,-1..1,9"]
 _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0}, "g": {}}
 
 
@@ -329,10 +330,22 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         ["verify", "--candidate", '{"variant": "quadratic", "A": "x"}'],
         ["verify", "--candidate", json.dumps(_HE_FORM_BAD_KEY)],
         ["barrier", "--candidate", "quadratic", "--samples", "0"],
+        [*_SOLVE_9, "--tol", "nan"],
+        [*_SOLVE_9, "--tol=-1"],
+        [*_SOLVE_9, "--tol", "0"],
+        [*_SOLVE_9, "--tol", "inf"],
+        ["rigidity", "--candidate", "quadratic", "--tol", "nan"],
+        ["convergence", "--candidate", "counterexample", "--h-list", "0.5", "--tol=-1"],
+        ["legendre", "--candidate", "counterexample", "--z-count=-3"],
+        ["legendre", "--candidate", "counterexample", "--z-count", "0"],
+        ["legendre", "--candidate", "counterexample", "--z-count", "4"],
     ],
     ids=[
         "sizes-a", "h-0", "h-nan", "h-list-a", "h-list-zero",
         "json-no-A", "json-no-nvars", "json-A-text", "json-b-key-x", "samples-0",
+        "solve-tol-nan", "solve-tol-negative", "solve-tol-0", "solve-tol-inf",
+        "rigidity-tol-nan", "convergence-tol-negative",
+        "z-count-negative", "z-count-0", "z-count-4",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
@@ -367,6 +380,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_solve_never_loads_scipy_interpolate():
+    # 21^3 exponential data has no elliptic calibrated root: the auto start
+    # runs the whole coarse-to-fine ladder, cubic prolongation included
+    script = """
+import contextlib, io, sys
+from sigma2lab import solver
+from sigma2lab.cli import main
+calls = []
+prolong = solver._prolong
+solver._prolong = lambda *args: calls.append(1) or prolong(*args)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--candidate", "counterexample", "--grid", "3,-1..1,21"]) == 0
+print(len(calls), "scipy.interpolate" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 False\n"
 
 
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):

@@ -304,6 +304,47 @@ def test_sine_transform_poisson_solve_on_anisotropic_grid():
 
 
 # ---------------------------------------------------------------------------
+# auto start: cubic prolongation up the dyadic ladder
+
+
+@pytest.mark.parametrize("m", [7, 11, 13, 21])
+def test_cubic_prolongation_is_the_not_a_knot_spline(m):
+    from scipy.interpolate import make_interp_spline
+
+    coarse = np.linspace(-1.0, 2.0, m)
+    fine = np.linspace(-1.0, 2.0, 2 * m - 1)
+    # column k: the not-a-knot spline through the k-th unit vector
+    want = make_interp_spline(coarse, np.eye(m), k=3)(fine)
+    np.testing.assert_allclose(solver._cubic_prolongation_1d(m), want, rtol=0.0, atol=1e-13)
+
+
+def _tensor_cubic(t, x, y=0.0):
+    return t**3 - 2.0 * t * x**2 + x * y**3 + t * x * y + 1.0
+
+
+@pytest.mark.parametrize(
+    "bounds, shape",
+    [(((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)), (7, 5, 9)), (((-1.0, 1.0), (0.5, 2.0)), (11, 5))],
+    ids=["3d", "2d"],
+)
+def test_prolong_reproduces_a_tensor_cubic(bounds, shape):
+    coarse = Grid(bounds, shape)
+    fine = Grid(bounds, tuple(2 * m - 1 for m in shape))
+    want = ScalarField.from_callable(fine, _tensor_cubic).values
+    got = solver._prolong(ScalarField.from_callable(coarse, _tensor_cubic), fine)
+    assert got.shape == fine.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("fine_shape", [(13, 9, 16), (7, 9, 17), (13, 9)])
+def test_prolong_rejects_a_level_pair_that_does_not_halve_the_spacing(fine_shape):
+    coarse = Grid(((-1.0, 1.0),) * 3, (7, 5, 9))
+    fine = Grid(((-1.0, 1.0),) * len(fine_shape), fine_shape)
+    with pytest.raises(ConfigError, match="cubic prolongation needs node counts"):
+        solver._prolong(ScalarField(coarse, np.zeros(coarse.shape)), fine)
+
+
+# ---------------------------------------------------------------------------
 # problem setup
 
 
