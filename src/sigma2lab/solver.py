@@ -35,9 +35,14 @@ exact root of a scalar quadratic.  For quadratic boundary data this lands on
 the discrete solution itself.  Both Dirichlet problems are diagonalised
 exactly by the type-1 discrete sine transform (Buzbee, Golub & Nielson
 1970), so the calibration costs a few FFTs instead of a factorisation.
-When no calibrated root keeps u_tt > 0 (the exponential data, say), the
-start is built on the coarsest level of the dyadic ladder by a boundary-
-amplitude homotopy, then carried up the ladder one Newton solve per level.
+A calibrated root starts Newton only inside the true ellipticity cone,
+u_tt > 0 and sigma2_tilde > 0 at every node; u_tt > 0 alone leaves the
+linearisation indefinite where sigma2_tilde <= 0.  When no root qualifies
+(the exponential data, say), the start is built on the coarsest level of
+the dyadic ladder by a boundary-amplitude homotopy, then carried up the
+ladder one Newton solve per level.  The homotopy enters from a family member
+with u_tt > 0: u_tt of u_harmonic + c*w is affine in c at every node, so the
+c with u_tt > 0 everywhere form one interval, read off in closed form.
 Each level's solution reaches the next, finer one through the tensor-product
 not-a-knot cubic spline, exact at the halved spacing and applied as one
 small dense matrix per axis (``_cubic_prolongation_1d``).
@@ -406,13 +411,16 @@ def _dirichlet_poisson(grid: Grid, load: np.ndarray) -> np.ndarray:
     return idstn(dstn(load, type=1) / eig, type=1)
 
 
-def _laplace_family(problem: DirichletProblem):
-    """The one-parameter family u_c = u_harm + c * w and its calibrated roots.
+def _calibrated_family(problem: DirichletProblem):
+    """The one-parameter family u_c = u_harm + c * w, its calibrated roots and
+    its u_tt cone.
 
     Lap_h(u_harm) = 0 with the problem's boundary data and Lap_h(w) = 1 with
     zero data.  The mean discrete operator value of u_c is an exact quadratic
-    in c; returns u_harm, w, the real roots of (mean value - 1) and the cone
-    margin c -> min u_tt of u_c.
+    in c; returns u_harm, w, the real roots of (mean value - 1) and the open
+    interval (lo, hi) of c with u_tt > 0 at every node.  At a node u_tt is
+    alpha + c * beta (the u_tt of u_harm and w), so lo and hi are the extreme
+    -alpha/beta over beta > 0 and beta < 0; beta = 0 with alpha <= 0 empties it.
     """
     grid = problem.grid
     h = grid.spacing
@@ -425,9 +433,6 @@ def _laplace_family(problem: DirichletProblem):
     def mean_residual(c: float) -> float:
         return float(np.mean(sigma2_interior(harm + c * w, h)) - 1.0)
 
-    def margin(c: float) -> float:
-        return _min_u11(harm + c * w, h)
-
     with np.errstate(over="ignore", invalid="ignore"):
         f0, fp, fm = mean_residual(0.0), mean_residual(1.0), mean_residual(-1.0)
         a2 = 0.5 * (fp + fm - 2.0 * f0)  # exact: the operator is quadratic in u
@@ -439,60 +444,42 @@ def _laplace_family(problem: DirichletProblem):
     roots = [r.real for r in np.roots([a2, a1, f0]) if abs(r.imag) <= 1e-9 * (1 + abs(r.real))]
     if not roots:
         roots = [-a1 / (2.0 * a2)] if a2 != 0.0 else [0.0]
-    return harm, w, roots, margin
+    alpha, beta = second_diff(harm, 0, h[0]), second_diff(w, 0, h[0])
+    lo = float((-alpha[beta > 0.0] / beta[beta > 0.0]).max(initial=-np.inf))
+    hi = float((-alpha[beta < 0.0] / beta[beta < 0.0]).min(initial=np.inf))
+    if np.any((beta == 0.0) & (alpha <= 0.0)):
+        lo, hi = np.inf, -np.inf
+    return harm, w, roots, (lo, hi)
 
 
-def _elliptic_root(roots, margin) -> float | None:
-    """The calibrated root with the largest u_tt margin, if any keeps u_tt > 0."""
-    elliptic_roots = [c for c in roots if margin(c) > 0.0]
-    return max(elliptic_roots, key=margin) if elliptic_roots else None
+def _calibrated_start(grid: Grid, family) -> ScalarField | None:
+    """The calibrated root whose field lies in the ellipticity cone, u_tt > 0
+    and sigma2_tilde > 0 at every node, with the largest u_tt margin; None if
+    no root does.  The linearisation's symbol [[Lap_x u, -b^T], [-b, u_tt I]]
+    is positive definite exactly there (``core_ops.sigma2_linearization``)."""
+    harm, w, roots, _ = family
+    h = grid.spacing
+    fields = [harm + c * w for c in roots]
+    inside = [u for u in fields if _min_u11(u, h) > 0.0 and sigma2_interior(u, h).min() > 0.0]
+    return ScalarField(grid, max(inside, key=lambda u: _min_u11(u, h))) if inside else None
 
 
-def _laplace_calibrated(problem: DirichletProblem) -> ScalarField | None:
-    """The calibrated Laplace field u_c (see ``_laplace_family``) if a root is elliptic."""
-    harm, w, roots, margin = _laplace_family(problem)
-    c = _elliptic_root(roots, margin)
-    return None if c is None else ScalarField(problem.grid, harm + c * w)
-
-
-def _cone_entry(problem: DirichletProblem) -> ScalarField:
-    """A member of the calibrated family with u_tt > 0: the elliptic root if
-    there is one, else the result of ``_march_into_cone``."""
-    harm, w, roots, margin = _laplace_family(problem)
-    c = _elliptic_root(roots, margin)
-    if c is None:
-        c = _march_into_cone(roots, margin)
-    return ScalarField(problem.grid, harm + c * w)
-
-
-def _march_into_cone(roots, margin) -> float:
-    """March c away from each root until min u_tt goes positive, then back off
-    by bisection to a gentle margin; the entry closest to a root seeds the
-    boundary-amplitude homotopy in newton_solve's auto path."""
-    best_entry, best_dist = None, np.inf
-    for r in sorted(roots):
-        for sign in (1.0, -1.0):
-            step = 1e-3 * (1.0 + abs(r))
-            prev = r
-            for _ in range(64):
-                c = prev + sign * step
-                if margin(c) > 0.0:
-                    lo, hi = prev, c
-                    target = 0.1 * margin(c)
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        if margin(mid) >= target:
-                            hi = mid
-                        else:
-                            lo = mid
-                    if abs(hi - r) < best_dist:
-                        best_entry, best_dist = hi, abs(hi - r)
-                    break
-                prev = c
-                step *= 2.0
-    if best_entry is None:
+def _cone_entry(grid: Grid, family) -> ScalarField:
+    """The family member that seeds the amplitude homotopy, with u_tt > 0 but
+    perhaps not sigma2_tilde > 0: the root inside the u_tt cone with the
+    largest margin, else the cone endpoint nearest a root moved inward by
+    1e-3 (1 + |endpoint|) or half the cone, whichever is less."""
+    harm, w, roots, (lo, hi) = family
+    if not lo < hi:
         raise EllipticityLost("auto initialization cannot reach u_tt > 0 for this data")
-    return best_entry
+    inside = [c for c in roots if lo < c < hi]
+    if inside:
+        c = max(inside, key=lambda c: _min_u11(harm + c * w, grid.spacing))
+    else:
+        e = min((e for e in (lo, hi) if math.isfinite(e)), key=lambda e: min(abs(e - r) for r in roots))
+        step = min(1e-3 * (1.0 + abs(e)), 0.5 * (hi - lo))
+        c = e + step if e == lo else e - step
+    return ScalarField(grid, harm + c * w)
 
 
 def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -575,38 +562,33 @@ def _amplitude_homotopy(problem: DirichletProblem, entry: ScalarField) -> Scalar
 
 
 def _auto_init(problem: DirichletProblem) -> ScalarField:
-    """Starting field for Newton: calibrated Laplace solve, with a coarse-grid
-    amplitude homotopy plus dyadic refinement when the calibration cannot stay
-    in the u_tt > 0 cone."""
-    calibrated = _laplace_calibrated(problem)
-    if calibrated is not None:
-        return calibrated
-    levels = _coarsen_levels(problem.grid.shape)
+    """Starting field for Newton: the calibrated Laplace field if it lies in
+    the ellipticity cone, else a coarse-grid amplitude homotopy carried up the
+    dyadic ladder, one Newton solve per level, redoing the homotopy on any
+    level where the prolongation seam breaks u_tt > 0."""
+    grid = problem.grid
+    family = _calibrated_family(problem)
+    start = _calibrated_start(grid, family)
+    if start is not None:
+        return start
     fine_b = _boundary_only(problem)
-    sub = tuple(
-        slice(None, None, (f - 1) // (c - 1))
-        for f, c in zip(problem.grid.shape, levels[0])
-    )
-    coarse_grid = Grid(problem.grid.bounds, levels[0])
-    coarse_b = ScalarField(coarse_grid, fine_b[sub])
-    coarse_prob = DirichletProblem(coarse_grid, coarse_b)
-    u = _amplitude_homotopy(coarse_prob, _cone_entry(coarse_prob))
-    for shape in levels[1:]:
-        g = Grid(problem.grid.bounds, shape)
-        stride = tuple((f - 1) // (c - 1) for f, c in zip(problem.grid.shape, shape))
-        b = ScalarField(g, fine_b[tuple(slice(None, None, s) for s in stride)])
-        vals = _prolong(u, g)
-        mask = g.boundary_mask()
-        vals[mask] = b.values[mask]
-        level_prob = DirichletProblem(g, b)
-        if _min_u11(vals, g.spacing) <= 0.0:
-            # prolongation seam broke the cone: redo the homotopy at this level
-            u = _amplitude_homotopy(level_prob, _cone_entry(level_prob))
-            vals = u.values
-        if shape == problem.grid.shape:
+    u = None
+    for shape in _coarsen_levels(grid.shape):
+        g = Grid(grid.bounds, shape)
+        stride = tuple((f - 1) // (c - 1) for f, c in zip(grid.shape, shape))
+        level = DirichletProblem(g, ScalarField(g, fine_b[tuple(slice(None, None, s) for s in stride)]))
+        if u is not None:
+            vals = _prolong(u, g)
+            mask = g.boundary_mask()
+            vals[mask] = level.boundary.values[mask]
+        if u is None or _min_u11(vals, g.spacing) <= 0.0:
+            # the coarsest level, or a prolongation seam that broke the cone
+            level_family = family if shape == grid.shape else _calibrated_family(level)
+            u = _amplitude_homotopy(level, _cone_entry(g, level_family))
+        elif shape == grid.shape:
             return ScalarField(g, vals)
-        rep = newton_solve(level_prob, init=ScalarField(g, vals), max_iter=80)
-        u = rep.solution
+        else:
+            u = newton_solve(level, init=ScalarField(g, vals), max_iter=80).solution
     return u
 
 
@@ -646,10 +628,11 @@ def newton_solve(
     if not np.isfinite(norm):
         raise ConfigError("boundary data too large: the residual norm of the first iterate overflows")
     history = [norm]
-    if _min_u11(u, h) <= 0.0:
+    min_u11 = _min_u11(u, h)
+    if min_u11 <= 0.0:
         raise EllipticityLost(
-            f"initial iterate has min u_tt = {_min_u11(u, h):.6g} <= 0",
-            SolveReport(False, 0, norm, float(np.abs(res).max()), _min_u11(u, h), tol, [norm]),
+            f"initial iterate has min u_tt = {min_u11:.6g} <= 0",
+            SolveReport(False, 0, norm, float(np.abs(res).max()), min_u11, tol, [norm]),
         )
 
     def report(converged: bool, iters: int, with_solution: bool) -> SolveReport:
@@ -666,11 +649,6 @@ def newton_solve(
 
     iters = 0
     while norm > tol:
-        if _min_u11(u, h) <= 0.0:
-            raise EllipticityLost(
-                f"iterate {iters} has min u_tt = {_min_u11(u, h):.6g} <= 0",
-                report(False, iters, False),
-            )
         if iters >= max_iter:
             raise MaxIterExceeded(
                 f"no convergence after {max_iter} Newton iterations "

@@ -195,6 +195,17 @@ def test_rigidity_command(tmp_path, capsys):
     assert len(rows) == 3  # header + two box sizes
 
 
+def test_rigidity_at_h_one_fourteenth_exits_zero():
+    # its L = 1 row once ended in EllipticityLost: the calibrated start kept
+    # u_tt > 0 but not sigma2 > 0
+    argv = ["rigidity", "--candidate", "quadratic", "--eps", "0.1", "--sizes", "1,2,4",
+            "--h", "0.0714285714285714"]
+    proc = subprocess.run([sys.executable, "-m", "sigma2lab.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    checks = {c["name"]: c["pass"] for c in json.loads(proc.stdout)["checks"]}
+    assert checks["all_rows_converged"] and checks["osc_u11_non_increasing"]
+
+
 def test_barrier_command(capsys):
     code, doc, _ = run(capsys, "barrier", "--candidate", "quadratic", "--level", "1.0")
     assert code == 0

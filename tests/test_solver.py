@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 from sigma2lab import solver
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
+from sigma2lab.cli import main
 from sigma2lab.core_ops import Grid, ScalarField, second_diff, sigma2_interior
 from sigma2lab.errors import (
     ConfigError,
@@ -345,6 +346,91 @@ def test_prolong_rejects_a_level_pair_that_does_not_halve_the_spacing(fine_shape
 
 
 # ---------------------------------------------------------------------------
+# auto start: the calibrated family, its u_tt cone and the start test
+
+
+@pytest.mark.parametrize("m, lo_want", [(7, 9.3338), (11, 10.1142)])
+def test_u_tt_cone_of_exponential_levels_matches_a_brute_scan(m, lo_want):
+    g = cube(-1.0, 1.0, m)
+    harm, w, roots, (lo, hi) = solver._calibrated_family(
+        DirichletProblem.from_candidate(g, Counterexample(0.25))
+    )
+    assert lo == pytest.approx(lo_want, abs=1e-4) and hi == np.inf
+    assert not any(lo < r for r in roots)  # no calibrated root is elliptic: the homotopy runs
+    margin = [solver._min_u11(harm + c * w, g.spacing) for c in lo + np.linspace(-1.0, 1.0, 201)]
+    assert max(margin[:100]) <= 0.0 and min(margin[101:]) > 0.0
+    step = 1e-7 * (1.0 + lo)
+    assert solver._min_u11(harm + (lo - step) * w, g.spacing) <= 0.0
+    assert solver._min_u11(harm + (lo + step) * w, g.spacing) > 0.0
+
+
+def test_start_test_rejects_a_calibrated_root_outside_the_sigma2_cone():
+    # rigidity_sweep's L = 1 box at h = 1/12: the root keeps u_tt > 0, but
+    # sigma2 <= 0 at 37 nodes leaves the linearisation indefinite there
+    g = cube(-1.0, 1.0, 25)
+    pts = g.points()
+    vals = Quadratic.standard(3).eval_many(pts) + 0.1 * solver._bump(pts, 1.0, 3)
+    problem = DirichletProblem(g, ScalarField(g, vals.reshape(g.shape)))
+    family = harm, w, roots, (lo, hi) = solver._calibrated_family(problem)
+    (c,) = [r for r in roots if lo < r < hi]
+    assert solver._min_u11(harm + c * w, g.spacing) > 0.0
+    assert int((sigma2_interior(harm + c * w, g.spacing) <= 0.0).sum()) == 37
+    assert solver._calibrated_start(g, family) is None
+    # the root still seeds the homotopy: it lies inside the u_tt cone
+    np.testing.assert_array_equal(solver._cone_entry(g, family).values, harm + c * w)
+
+
+def test_empty_u_tt_cone_raises_ellipticity_lost(monkeypatch, capsys):
+    # w = 0 (the unit-load solve returned as zero) makes beta vanish at every
+    # node, and the harmonic part of the exponential data has u_tt <= 0 at some
+    poisson = solver._dirichlet_poisson
+    monkeypatch.setattr(
+        solver, "_dirichlet_poisson", lambda grid, load: poisson(grid, load) * (not np.all(load == 1.0))
+    )
+    problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, 11), Counterexample(0.25))
+    assert solver._calibrated_family(problem)[3] == (np.inf, -np.inf)
+    with pytest.raises(EllipticityLost, match="cannot reach u_tt > 0"):
+        newton_solve(problem)
+    assert main(["solve", "--candidate", "counterexample", "--grid", "3,-1..1,11"]) == 3
+    assert "solver failure: EllipticityLost" in capsys.readouterr().err
+
+
+def test_seam_redo_reruns_the_homotopy_and_still_converges(monkeypatch):
+    # 25^3 climbs 7^3 -> 13^3 -> 25^3; a dent at one node of the 13^3
+    # prolongation breaks u_tt there, so that level redoes the homotopy
+    g = cube(-1.0, 1.0, 25)
+    problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
+    clean = newton_solve(problem)
+    prolong, homotopy, newton = solver._prolong, solver._amplitude_homotopy, solver.newton_solve
+    dented, homotopies, solves = [], [], []
+
+    def dent(coarse, fine_grid):
+        vals = prolong(coarse, fine_grid)
+        if not dented:
+            vals[6, 6, 6] += 1.0
+            dented.append(fine_grid.shape)
+        return vals
+
+    def recorded_newton(*args, **kwargs):
+        rep = newton(*args, **kwargs)
+        solves.append(rep.iterations)
+        return rep
+
+    monkeypatch.setattr(solver, "_prolong", dent)
+    monkeypatch.setattr(
+        solver, "_amplitude_homotopy", lambda p, e: homotopies.append(p.grid.shape) or homotopy(p, e)
+    )
+    monkeypatch.setattr(solver, "newton_solve", recorded_newton)
+    rep = solver.newton_solve(problem)
+    assert dented == [(13, 13, 13)] and homotopies == [(7, 7, 7), (13, 13, 13)]
+    assert rep.converged
+    # no Newton call re-solves a converged homotopy result
+    assert all(iters > 0 for iters in solves)
+    gap = np.abs(rep.solution.values - clean.solution.values).max()
+    assert gap <= 10 * problem.default_tol()
+
+
+# ---------------------------------------------------------------------------
 # problem setup
 
 
@@ -512,6 +598,15 @@ def test_rigidity_sweep_perturbation_decays():
     # the gradient along the axis keeps growing with the box, so the decay
     # of osc(u_tt) is not an artifact of the solution going flat
     assert rows[1]["max_u1_axis"] > rows[0]["max_u1_axis"]
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_rigidity_sweep_converges_every_row_at_fine_spacing(n):
+    # the L = 1 calibrated root has sigma2 <= 0 at 68 nodes at h = 1/14 and
+    # 109 at h = 1/16; started there, Newton left the u_tt cone
+    rows = rigidity_sweep(Quadratic.standard(3), eps=0.1, sizes=(1, 2, 4), h=1.0 / n)
+    assert [r["error"] for r in rows] == [None, None, None]
+    assert all(r["converged"] for r in rows)
 
 
 def test_rigidity_sweep_validation():
