@@ -350,8 +350,11 @@ def cmd_solve(args) -> int:
 def cmd_rigidity(args) -> int:
     from .solver import rigidity_sweep
 
+    sizes = _parse_vector(args.sizes)
+    if sizes.size < 2:
+        raise ConfigError(f"rigidity needs at least two box sizes for its trend check, got {args.sizes!r}")
     cand = _load_candidate(args)
-    rows = rigidity_sweep(cand, eps=args.eps, sizes=_parse_vector(args.sizes), h=args.h, tol=args.tol)
+    rows = rigidity_sweep(cand, eps=args.eps, sizes=sizes, h=args.h, tol=args.tol)
     converged = [r for r in rows if r["converged"]]
     oscs = [r["osc_u11_inner"] for r in converged]
     non_increasing = all(b <= a * (1 + 1e-12) for a, b in zip(oscs, oscs[1:]))

@@ -19,14 +19,19 @@ against the whole basis block by CGS2, classical Gram-Schmidt run twice
 (Giraud, Langou, Rozložník & van den Eshof, *Numer. Math.* 2005), which
 keeps the basis orthogonal to working precision in two block passes.
 
-The V-cycle levels are the dyadic ladder of ``_coarsen_levels``, the same
-one the auto start refines along; coarse operators are the Galerkin products
-P^T J P with P the trilinear prolongation of interior corrections (zero on
-the boundary), every level but the coarsest smooths with damped Jacobi, and
-the coarsest level alone is factorised by sparse LU.  A grid with no dyadic
-ladder (an even node count, say) is the one-level case: its coarsest level
-is J itself.  Every solve must reach relative residual 1e-10 or raise
-LinearSolveFailure.
+The V-cycle levels are the ladder of ``_coarsen_levels``, the same one the
+auto start refines along: every grid has one.  Each axis halves its node
+count, m -> ceil(m/2), while that leaves at least 5 nodes, so the coarsest
+level has at most 8 nodes per axis.  Coarse operators are the Galerkin
+products R (J P), with P the tensor product of linear interpolation of
+interior corrections (zero on the boundary) at the fine node positions and
+R = P^T; an odd dyadic count (2m - 1 from m) gives the classic weights 1 and
+1/2, any other count a non-nested transfer.  The fine level and the levels
+with only nested transfers above them smooth with damped Jacobi; a level
+below a non-nested transfer smooths with l1-Jacobi.  The coarsest level, at
+most 6^d unknowns (216 in 3D), is inverted densely once per V-cycle set-up
+and applied as a matrix-vector product.  Every solve must reach relative
+residual 1e-10 or raise LinearSolveFailure.
 
 Initialization ("auto") solves one discrete Laplace problem with the given
 boundary data plus one Poisson problem with unit load, then picks the
@@ -34,18 +39,20 @@ combination u_harmonic + c*w whose mean discrete operator value is 1 --
 exact root of a scalar quadratic.  For quadratic boundary data this lands on
 the discrete solution itself.  Both Dirichlet problems are diagonalised
 exactly by the type-1 discrete sine transform (Buzbee, Golub & Nielson
-1970), so the calibration costs a few FFTs instead of a factorisation.
+1970), taken with numpy's real FFT of the odd extension, so the calibration
+costs a few FFTs instead of a factorisation.
 A calibrated root starts Newton only inside the true ellipticity cone,
 u_tt > 0 and sigma2_tilde > 0 at every node; u_tt > 0 alone leaves the
 linearisation indefinite where sigma2_tilde <= 0.  When no root qualifies
 (the exponential data, say), the start is built on the coarsest level of
-the dyadic ladder by a boundary-amplitude homotopy, then carried up the
-ladder one Newton solve per level.  The homotopy enters from a family member
-with u_tt > 0: u_tt of u_harmonic + c*w is affine in c at every node, so the
-c with u_tt > 0 everywhere form one interval, read off in closed form.
+the ladder by a boundary-amplitude homotopy, then carried up the ladder one
+Newton solve per level.  The homotopy enters from a family member with
+u_tt > 0: u_tt of u_harmonic + c*w is affine in c at every node, so the c
+with u_tt > 0 everywhere form one interval, read off in closed form.
 Each level's solution reaches the next, finer one through the tensor-product
-not-a-knot cubic spline, exact at the halved spacing and applied as one
-small dense matrix per axis (``_cubic_prolongation_1d``).
+not-a-knot cubic spline read off at the finer nodes, one small dense matrix
+per axis (``_spline_eval``); the coarse levels' boundary data is the fine
+data read off the same way.
 """
 
 from __future__ import annotations
@@ -56,9 +63,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.fft import dstn, idstn
-from scipy.linalg import solve_triangular
 
 from .core_ops import (
     Grid,
@@ -91,7 +95,7 @@ _LINEAR_RELRES = 1e-10
 # linear solve: GMRES(_GMRES_RESTART) with CGS2 Arnoldi for at most
 # _GMRES_CYCLES cycles, each starting from the true residual, right-
 # preconditioned by a V(_SMOOTHING_SWEEPS, _SMOOTHING_SWEEPS) cycle whose
-# Jacobi sweeps are damped by _JACOBI_WEIGHT.  The basis holds
+# damped Jacobi sweeps take the weight _JACOBI_WEIGHT.  The basis holds
 # _GMRES_RESTART + 1 vectors of the fine grid's interior size.
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 5
@@ -253,12 +257,24 @@ def _min_u11(values: np.ndarray, spacing) -> float:
 
 
 def _prolongation_1d(fine: int, coarse: int) -> sp.csr_matrix:
-    """Linear interpolation from the coarse to the fine interior nodes of one axis."""
-    j = np.arange(coarse - 2)
-    rows = np.concatenate([2 * j, 2 * j + 1, 2 * j + 2])
-    cols = np.concatenate([j, j, j])
-    vals = np.concatenate([np.full(j.size, 0.5), np.ones(j.size), np.full(j.size, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(fine - 2, coarse - 2))
+    """Linear interpolation from the coarse to the fine interior nodes of one
+    axis, read off at the fine node positions i (coarse - 1) / (fine - 1) in
+    coarse index units; the identity when the counts are equal.
+
+    For a nested pair (fine = 2 coarse - 1) the positions are exact halves, so
+    the weights are exactly 1 and 1/2.  Legs onto the coarse boundary nodes are
+    dropped: corrections vanish there.
+    """
+    if fine == coarse:
+        return sp.identity(fine - 2, format="csr")
+    pos = np.arange(1, fine - 1) * (coarse - 1) / (fine - 1)
+    left = np.floor(pos).astype(np.intp)
+    theta = pos - left
+    rows = np.concatenate([np.arange(fine - 2)] * 2)
+    cols = np.concatenate([left, left + 1]) - 1
+    vals = np.concatenate([1.0 - theta, theta])
+    keep = (vals != 0.0) & (cols >= 0) & (cols < coarse - 2)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(fine - 2, coarse - 2))
 
 
 @lru_cache(maxsize=8)
@@ -275,23 +291,41 @@ def _prolongations(shape: tuple[int, ...]) -> tuple[tuple[sp.csr_matrix, sp.csr_
     return tuple(out)
 
 
+def _nested(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
+    """Whether every coarse node of the pair is a fine node."""
+    return all(f in (c, 2 * c - 1) for f, c in zip(fine, coarse))
+
+
 def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
-    """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual."""
+    """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual.
+
+    The fine level and every level with only nested transfers above it smooth
+    with damped Jacobi.  A level below a non-nested transfer smooths with
+    l1-Jacobi, weight sign(a_ii) / sum_j |a_ij| (Baker, Falgout, Kolev & Yang,
+    *SIAM J. Sci. Comput.* 2011).  The Galerkin levels have a spectral radius
+    of D^-1 A near 3, and near 3.9 below a non-nested transfer, so the damped
+    sweep amplifies their highest modes: harmless on nested ladders, but below
+    a non-nested transfer the V-cycle count then grows with depth.  l1-Jacobi
+    on every coarse level costs one V-cycle on nested ladders instead.
+    """
     transfers = _prolongations(shape)
     ops = [mat]
-    for P, _ in reversed(transfers):
-        # P.T, not R: R @ J sums its products in another order
-        ops.insert(0, (P.T @ ops[0] @ P).tocsr())
+    for P, R in reversed(transfers):
+        ops.insert(0, R @ (ops[0] @ P))
     try:
-        coarsest = spla.splu(ops[0].tocsc())
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"sparse factorization failed: {exc}") from exc
+        coarsest = np.linalg.inv(ops[0].toarray())
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure(f"coarsest-level inverse failed: {exc}") from exc
+    levels = _coarsen_levels(shape)
     weights = []
-    for A in ops[1:]:
+    for k, A in enumerate(ops[1:], start=1):
         diag = A.diagonal()
         if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
             raise LinearSolveFailure("Jacobi smoother needs a finite, nonzero diagonal")
-        weights.append(_JACOBI_WEIGHT / diag)
+        if all(_nested(fine, coarse) for coarse, fine in zip(levels[k:], levels[k + 1 :])):
+            weights.append(_JACOBI_WEIGHT / diag)
+        else:
+            weights.append(np.sign(diag) / (abs(A) @ np.ones(A.shape[0])))
 
     # a module-level function, not a recursive closure: a closure that calls
     # itself is a reference cycle, and would keep the whole hierarchy (the
@@ -301,7 +335,7 @@ def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
 
 def _cycle(ops, weights, transfers, coarsest, level: int, rhs: np.ndarray) -> np.ndarray:
     if level == 0:
-        return coarsest.solve(rhs)
+        return coarsest @ rhs
     A, w, (P, R) = ops[level], weights[level - 1], transfers[level - 1]
     x = w * rhs  # first pre-smoothing sweep, from zero
     for _ in range(_SMOOTHING_SWEEPS - 1):
@@ -375,7 +409,7 @@ def _gmres(mat, rhs: np.ndarray, precond) -> tuple[np.ndarray, int, int]:
                 break
             V[j + 1] = w / h_next
         k = len(rotations)
-        x += precond(solve_triangular(tri[:k, :k], g[:k]) @ V[:k])
+        x += precond(np.linalg.solve(tri[:k, :k], g[:k]) @ V[:k])
     return x, iters, _GMRES_CYCLES - 1
 
 
@@ -408,7 +442,27 @@ def _dirichlet_poisson(grid: Grid, load: np.ndarray) -> np.ndarray:
         k = np.arange(1, n + 1)
         lam = -(4.0 / h**2) * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2
         eig = eig + lam.reshape([-1 if b == a else 1 for b in range(len(shape))])
-    return idstn(dstn(load, type=1) / eig, type=1)
+    coef = load
+    for a in range(len(shape)):
+        coef = _dst1(coef, a)
+    coef = coef / eig
+    for a in range(len(shape)):
+        coef = _dst1(coef, a)
+    # DST-I is its own inverse up to the factor 2 (n + 1) per axis
+    return coef / math.prod(2 * (n + 1) for n in shape)
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalised DST-I along ``axis``, y_k = 2 sum_j x_j sin(pi (j+1)(k+1) / (n+1)).
+
+    The FFT of the odd extension [0, x, 0, -x reversed] is -i y_(k-1) at k = 1..n.
+    """
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    ext[..., 1 : n + 1] = x
+    ext[..., n + 2 :] = -x[..., ::-1]
+    return np.moveaxis(-np.fft.rfft(ext).imag[..., 1 : n + 1], -1, axis)
 
 
 def _calibrated_family(problem: DirichletProblem):
@@ -483,27 +537,34 @@ def _cone_entry(grid: Grid, family) -> ScalarField:
 
 
 def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Dyadic shape ladder from coarse to fine; every level subsamples the last."""
-    shapes = [shape]
-    while all(m % 2 == 1 for m in shapes[0]) and all((m + 1) // 2 >= 5 for m in shapes[0]):
-        shapes.insert(0, tuple((m + 1) // 2 for m in shapes[0]))
-        if max(shapes[0]) <= 11:
-            break
-    return shapes
+    """Shape ladder from coarse to fine.  Each axis goes from m to ceil(m/2)
+    nodes while that leaves at least 5, on its own; the ladder ends when no
+    axis can coarsen, so the coarsest level has at most 8 nodes per axis."""
+    shapes = [tuple(shape)]
+    while True:
+        coarser = tuple((m + 1) // 2 if (m + 1) // 2 >= 5 else m for m in shapes[0])
+        if coarser == shapes[0]:
+            return shapes
+        shapes.insert(0, coarser)
 
 
 @lru_cache(maxsize=16)
-def _cubic_prolongation_1d(m: int) -> np.ndarray:
-    """Not-a-knot cubic spline through m equispaced nodes, read off at the
-    2m - 1 nodes of the halved spacing, as a dense read-only (2m - 1, m) matrix.
+def _spline_eval(m: int, n: int) -> np.ndarray:
+    """Not-a-knot cubic spline through m equispaced nodes, read off at n
+    equispaced nodes of the same interval, as a dense read-only (n, m) matrix;
+    the identity when n = m.
 
     In unit spacing the moments M_j = s''(x_j) solve M_{j-1} + 4 M_j + M_{j+1}
     = 6 (y_{j-1} - 2 y_j + y_{j+1}) at the inner nodes, and not-a-knot asks
     for a continuous third derivative at x_1 and x_{m-2}: M_0 - 2 M_1 + M_2 = 0
-    and its mirror image.  Even fine rows copy a node; the odd row between
-    nodes j and j+1 is the midpoint value (y_j + y_{j+1})/2 - (M_j + M_{j+1})/16.
-    The spacing cancels, so one matrix serves every axis with m nodes.
+    and its mirror image.  At x = j + theta the spline is
+    (1 - theta) y_j + theta y_{j+1} - theta (1 - theta) [(2 - theta) M_j + (1 + theta) M_{j+1}] / 6.
+    The spacing cancels, so one matrix serves every axis with these counts.
     """
+    if n == m:
+        out = np.eye(m)
+        out.flags.writeable = False
+        return out
     inner = np.arange(1, m - 1)
     lhs = np.zeros((m, m))
     rhs = np.zeros((m, m))
@@ -513,29 +574,39 @@ def _cubic_prolongation_1d(m: int) -> np.ndarray:
     lhs[0, :3] = lhs[-1, -3:] = (1.0, -2.0, 1.0)
     moments = np.linalg.solve(lhs, rhs)  # M = moments @ y
     nodes = np.eye(m)
-    out = np.empty((2 * m - 1, m))
-    out[0::2] = nodes
-    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:]) - (moments[:-1] + moments[1:]) / 16.0
+    pos = np.arange(n) * (m - 1) / (n - 1)
+    j = np.minimum(np.floor(pos).astype(np.intp), m - 2)
+    theta = (pos - j)[:, None]
+    out = (
+        (1.0 - theta) * nodes[j]
+        + theta * nodes[j + 1]
+        - theta * (1.0 - theta) * ((2.0 - theta) * moments[j] + (1.0 + theta) * moments[j + 1]) / 6.0
+    )
     out.flags.writeable = False
     return out
 
 
 def _prolong(coarse: ScalarField, fine_grid: Grid) -> np.ndarray:
     """Tensor-product not-a-knot cubic interpolant of ``coarse`` at the nodes of
-    ``fine_grid``, which must halve the spacing of every axis.
+    ``fine_grid``, a grid of the same dimension and any node counts.
 
     Cubic, not linear: the fine-grid second differences of a piecewise-linear
     interpolant vanish at inserted nodes, which would violate the u_tt > 0 guard.
     """
-    shape = coarse.grid.shape
-    if fine_grid.dim != coarse.grid.dim or any(f != 2 * m - 1 for m, f in zip(shape, fine_grid.shape)):
+    if fine_grid.dim != coarse.grid.dim:
         raise ConfigError(
-            f"cubic prolongation needs node counts (m, 2m - 1) on every axis, "
-            f"got {shape} -> {fine_grid.shape}"
+            f"cubic prolongation needs grids of one dimension, got {coarse.grid.shape} -> {fine_grid.shape}"
         )
-    vals = coarse.values
-    for axis, m in enumerate(shape):
-        vals = np.moveaxis(np.tensordot(_cubic_prolongation_1d(m), vals, axes=(1, axis)), 0, axis)
+    return _resample(coarse.values, fine_grid.shape)
+
+
+def _resample(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The tensor-product not-a-knot spline through the node values ``vals``
+    read off at ``shape`` equispaced nodes of the same box.  The end nodes of
+    every axis are read off exactly, so each face of the result is the spline
+    within the same face of ``vals``."""
+    for axis, (m, n) in enumerate(zip(vals.shape, shape)):
+        vals = np.moveaxis(np.tensordot(_spline_eval(m, n), vals, axes=(1, axis)), 0, axis)
     return np.ascontiguousarray(vals)
 
 
@@ -564,8 +635,10 @@ def _amplitude_homotopy(problem: DirichletProblem, entry: ScalarField) -> Scalar
 def _auto_init(problem: DirichletProblem) -> ScalarField:
     """Starting field for Newton: the calibrated Laplace field if it lies in
     the ellipticity cone, else a coarse-grid amplitude homotopy carried up the
-    dyadic ladder, one Newton solve per level, redoing the homotopy on any
-    level where the prolongation seam breaks u_tt > 0."""
+    ladder, one Newton solve per level, redoing the homotopy on any level
+    where the prolongation seam breaks u_tt > 0.  A coarse level's boundary
+    data is the fine data read off at its nodes by the spline within each
+    face: exact subsampling on nested axes."""
     grid = problem.grid
     family = _calibrated_family(problem)
     start = _calibrated_start(grid, family)
@@ -575,8 +648,10 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
     u = None
     for shape in _coarsen_levels(grid.shape):
         g = Grid(grid.bounds, shape)
-        stride = tuple((f - 1) // (c - 1) for f, c in zip(grid.shape, shape))
-        level = DirichletProblem(g, ScalarField(g, fine_b[tuple(slice(None, None, s) for s in stride)]))
+        if shape == grid.shape:
+            level = problem
+        else:
+            level = DirichletProblem(g, ScalarField(g, _resample(fine_b, shape)))
         if u is not None:
             vals = _prolong(u, g)
             mask = g.boundary_mask()

@@ -332,6 +332,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
     "argv",
     [
         ["rigidity", "--candidate", "quadratic", "--sizes", "a"],
+        ["rigidity", "--candidate", "quadratic", "--sizes", "1"],
         ["rigidity", "--candidate", "quadratic", "--h", "0"],
         ["rigidity", "--candidate", "quadratic", "--h", "nan"],
         ["convergence", "--candidate", "counterexample", "--h-list", "a"],
@@ -352,7 +353,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         ["legendre", "--candidate", "counterexample", "--z-count", "4"],
     ],
     ids=[
-        "sizes-a", "h-0", "h-nan", "h-list-a", "h-list-zero",
+        "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
         "json-no-A", "json-no-nvars", "json-A-text", "json-b-key-x", "samples-0",
         "solve-tol-nan", "solve-tol-negative", "solve-tol-0", "solve-tol-inf",
         "rigidity-tol-nan", "convergence-tol-negative",
@@ -395,7 +396,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_solve_never_loads_scipy_interpolate():
     # 21^3 exponential data has no elliptic calibrated root: the auto start
-    # runs the whole coarse-to-fine ladder, cubic prolongation included
+    # runs the whole coarse-to-fine ladder 6-11-21, cubic prolongation
+    # included; the linear solves end in a dense coarsest inverse and the
+    # calibration's sine transforms run on numpy's FFT
     script = """
 import contextlib, io, sys
 from sigma2lab import solver
@@ -403,13 +406,17 @@ from sigma2lab.cli import main
 calls = []
 prolong = solver._prolong
 solver._prolong = lambda *args: calls.append(1) or prolong(*args)
+unused = ["scipy.interpolate", "scipy.sparse.linalg", "scipy.linalg", "scipy.fft"]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["solve", "--candidate", "counterexample", "--grid", "3,-1..1,21"]) == 0
-print(len(calls), "scipy.interpolate" in sys.modules)
+print(len(calls), [m for m in unused if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["rigidity", "--candidate", "quadratic", "--sizes", "1,2"]) == 0
+print([m for m in unused if m in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 False\n"
+    assert proc.stdout == "2 []\n[]\n"
 
 
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):

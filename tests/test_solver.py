@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -168,9 +170,10 @@ def test_multigrid_solve_matches_direct_solve_on_newton_path():
     assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
-def test_even_node_grid_solves_on_one_level():
+def test_even_node_grid_solves_on_a_two_level_ladder():
     g = cube(-1.0, 1.0, 10)
-    assert solver._prolongations(g.shape) == ()
+    assert solver._coarsen_levels(g.shape) == [(5, 5, 5), (10, 10, 10)]
+    assert len(solver._prolongations(g.shape)) == 1
     rng = np.random.default_rng(3)
     u = ScalarField.sample(g, Quadratic.standard(3))
     u.values += 0.01 * rng.normal(size=g.shape)
@@ -178,6 +181,22 @@ def test_even_node_grid_solves_on_one_level():
     rhs = rng.normal(size=J.shape[0])
     x = solver._solve_sparse(J, rhs, g)
     assert _relres(J, x, rhs) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "fine, coarse", [(21, 11), (25, 13), (13, 7), (41, 21), (32, 16), (24, 12), (10, 5), (17, 9), (5, 5)]
+)
+def test_prolongation_is_linear_interpolation_at_the_fine_nodes(fine, coarse):
+    # reference: np.interp of the coarse values, zero on the boundary, at the
+    # fine node positions; nested pairs keep weights exactly 1 and 1/2
+    rng = np.random.default_rng(fine)
+    c = np.zeros(coarse)
+    c[1:-1] = rng.normal(size=coarse - 2)
+    want = np.interp(np.linspace(0.0, 1.0, fine), np.linspace(0.0, 1.0, coarse), c)[1:-1]
+    P = solver._prolongation_1d(fine, coarse)
+    np.testing.assert_allclose(P @ c[1:-1], want, rtol=0.0, atol=1e-14)
+    if fine == 2 * coarse - 1:
+        np.testing.assert_array_equal(np.unique(P.data), [0.5, 1.0])
 
 
 @pytest.mark.parametrize("m", [10, 25])
@@ -260,6 +279,26 @@ def test_first_newton_system_at_25_cubed_takes_at_most_22_v_cycles(monkeypatch):
     assert len(applied) <= 22
 
 
+def _first_system_v_cycles(m):
+    g, J, rhs = _first_newton_system(m)
+    cycle = solver._v_cycle(J, g.shape)
+    applied = []
+    x, _, _ = solver._gmres(J, rhs, lambda r: applied.append(1) or cycle(r))
+    assert _relres(J, x, rhs) <= 1e-10
+    return len(applied)
+
+
+@pytest.mark.parametrize(
+    "even, odd",
+    [(32, 33), (40, 41), pytest.param(64, 65, marks=pytest.mark.slow)],
+    ids=["32-33", "40-41", "64-65"],
+)
+def test_even_grid_takes_about_as_many_v_cycles_as_the_next_odd_one(even, odd):
+    # the even ladders are non-nested (8-16-32, 5-10-20-40, 8-16-32-64); their
+    # levels below a non-nested transfer smooth with l1-Jacobi
+    assert _first_system_v_cycles(even) <= 1.25 * _first_system_v_cycles(odd)
+
+
 @pytest.mark.parametrize("where, precond_calls", [("rhs", 0), ("matrix", 1)])
 def test_gmres_stops_at_once_on_nan(where, precond_calls):
     n = 12
@@ -305,44 +344,70 @@ def test_sine_transform_poisson_solve_on_anisotropic_grid():
 
 
 # ---------------------------------------------------------------------------
-# auto start: cubic prolongation up the dyadic ladder
+# auto start: cubic prolongation up the ladder
 
 
-@pytest.mark.parametrize("m", [7, 11, 13, 21])
-def test_cubic_prolongation_is_the_not_a_knot_spline(m):
+@pytest.mark.parametrize(
+    "m, n",
+    [(7, 13), (11, 21), (13, 25), (21, 41), (12, 24), (16, 32), (17, 32), (9, 5), (6, 6)],
+    ids=["7", "11", "13", "21", "12-24", "16-32", "17-32", "9-5", "6-6"],
+)
+def test_cubic_prolongation_is_the_not_a_knot_spline(m, n):
     from scipy.interpolate import make_interp_spline
 
     coarse = np.linspace(-1.0, 2.0, m)
-    fine = np.linspace(-1.0, 2.0, 2 * m - 1)
+    fine = np.linspace(-1.0, 2.0, n)
     # column k: the not-a-knot spline through the k-th unit vector
     want = make_interp_spline(coarse, np.eye(m), k=3)(fine)
-    np.testing.assert_allclose(solver._cubic_prolongation_1d(m), want, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(solver._spline_eval(m, n), want, rtol=0.0, atol=1e-13)
 
 
 def _tensor_cubic(t, x, y=0.0):
     return t**3 - 2.0 * t * x**2 + x * y**3 + t * x * y + 1.0
 
 
+_BOX = ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0))
+
+
 @pytest.mark.parametrize(
-    "bounds, shape",
-    [(((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)), (7, 5, 9)), (((-1.0, 1.0), (0.5, 2.0)), (11, 5))],
-    ids=["3d", "2d"],
+    "bounds, shape, fine_shape",
+    [
+        (_BOX, (7, 5, 9), (13, 9, 17)),
+        (((-1.0, 1.0), (0.5, 2.0)), (11, 5), (21, 9)),
+        (_BOX, (7, 5, 9), (13, 9, 16)),
+        (_BOX, (7, 5, 9), (7, 9, 17)),
+    ],
+    ids=["3d", "2d", "3d-13x9x16", "3d-7x9x17"],
 )
-def test_prolong_reproduces_a_tensor_cubic(bounds, shape):
+def test_prolong_reproduces_a_tensor_cubic(bounds, shape, fine_shape):
     coarse = Grid(bounds, shape)
-    fine = Grid(bounds, tuple(2 * m - 1 for m in shape))
+    fine = Grid(bounds, fine_shape)
     want = ScalarField.from_callable(fine, _tensor_cubic).values
     got = solver._prolong(ScalarField.from_callable(coarse, _tensor_cubic), fine)
     assert got.shape == fine.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("fine_shape", [(13, 9, 16), (7, 9, 17), (13, 9)])
-def test_prolong_rejects_a_level_pair_that_does_not_halve_the_spacing(fine_shape):
+def test_prolong_rejects_a_level_pair_of_another_dimension():
     coarse = Grid(((-1.0, 1.0),) * 3, (7, 5, 9))
-    fine = Grid(((-1.0, 1.0),) * len(fine_shape), fine_shape)
-    with pytest.raises(ConfigError, match="cubic prolongation needs node counts"):
+    fine = Grid(((-1.0, 1.0),) * 2, (13, 9))
+    with pytest.raises(ConfigError, match="cubic prolongation needs grids of one dimension"):
         solver._prolong(ScalarField(coarse, np.zeros(coarse.shape)), fine)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_ladder_ends_at_most_8_nodes_per_axis(dim):
+    # arithmetic on the shapes only: no grid of these sizes is allocated
+    counts = [3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 24, 31, 32, 33, 63, 64, 65, 100, 513, 1000, 1024, 1025]
+    rng = np.random.default_rng(dim)
+    mixes = [tuple(int(v) for v in rng.choice(counts, dim)) for _ in range(200)]
+    for shape in [(m,) * dim for m in counts] + mixes:
+        levels = solver._coarsen_levels(shape)
+        assert levels[-1] == shape
+        assert max(levels[0]) <= 8 and math.prod(m - 2 for m in levels[0]) <= 6**dim
+        for coarse, fine in zip(levels, levels[1:]):
+            # every axis that can halve to >= 5 nodes does, the others keep theirs
+            assert coarse == tuple((f + 1) // 2 if (f + 1) // 2 >= 5 else f for f in fine) != fine
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +546,22 @@ def test_truncation_error_is_second_order():
     e_coarse = solve_err(9)
     e_fine = solve_err(17)
     assert 3.0 < e_coarse / e_fine < 5.0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(24, 24, 24), (32, 32, 32), (5, 33, 33), (33, 5, 17)],
+    ids=["24", "32", "5x33x33", "33x5x17"],
+)
+def test_exponential_data_solves_on_every_ladder(shape):
+    # even counts climb non-nested ladders (6-12-24, 8-16-32), and an axis
+    # of 5 nodes never coarsens; the start comes from the coarsest level, so
+    # the fine level still takes Newton steps
+    g = Grid(((-1.0, 1.0),) * 3, shape)
+    problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
+    rep = newton_solve(problem)
+    assert rep.converged and rep.iterations > 0
+    assert rep.residual_norm <= problem.default_tol()
 
 
 @pytest.mark.slow
