@@ -332,15 +332,10 @@ def barrier_check(E: EllipsoidMap, h: float) -> dict:
     }
 
 
-def _legendre_from_field(fld: ScalarField, z_span, z_count):
-    grid = fld.grid
-    h0 = grid.spacing[0]
-    u1 = (fld.values[2:] - fld.values[:-2]) / (2.0 * h0)
-    if np.any(np.diff(u1, axis=0) <= 0.0):
-        raise NotMonotone("discrete u_t is not strictly increasing along every t-line")
-    flat = u1.reshape(u1.shape[0], -1)
-    attained_lo = float(flat[0].max())
-    attained_hi = float(flat[-1].min())
+def _z_axis(attained_lo: float, attained_hi: float, z_span, z_count: int):
+    """The z-range and its ``z_count`` nodes inside (attained_lo, attained_hi),
+    the u_t range that every x-line attains.  The default range shrinks it by
+    5% per side; a requested range must lie inside it."""
     if attained_hi <= attained_lo:
         raise ZOutOfRange(
             "the x-lines share no common attained range of u_t; "
@@ -349,15 +344,24 @@ def _legendre_from_field(fld: ScalarField, z_span, z_count):
     if z_span is None:
         width = attained_hi - attained_lo
         z_span = (attained_lo + 0.05 * width, attained_hi - 0.05 * width)
-    else:
-        if z_span[0] < attained_lo or z_span[1] > attained_hi:
-            raise ZOutOfRange(
-                f"requested z-range {z_span} exceeds the attained range "
-                f"({attained_lo:.6g}, {attained_hi:.6g})"
-            )
+    elif z_span[0] < attained_lo or z_span[1] > attained_hi:
+        raise ZOutOfRange(
+            f"requested z-range {z_span} exceeds the attained range "
+            f"({attained_lo:.6g}, {attained_hi:.6g})"
+        )
+    return z_span, np.linspace(z_span[0], z_span[1], z_count)
+
+
+def _legendre_from_field(fld: ScalarField, z_span, z_count):
+    grid = fld.grid
+    h0 = grid.spacing[0]
+    u1 = (fld.values[2:] - fld.values[:-2]) / (2.0 * h0)
+    if np.any(np.diff(u1, axis=0) <= 0.0):
+        raise NotMonotone("discrete u_t is not strictly increasing along every t-line")
+    flat = u1.reshape(u1.shape[0], -1)
     if z_count is None:
         z_count = u1.shape[0]
-    z = np.linspace(z_span[0], z_span[1], z_count)
+    z_span, z = _z_axis(float(flat[0].max()), float(flat[-1].min()), z_span, z_count)
     t_int = grid.axes()[0][1:-1]
     theta = np.empty((z_count, flat.shape[1]))
     for j in range(flat.shape[1]):
@@ -393,26 +397,12 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
         )
     lo_pts = np.column_stack([np.full(n_lines, t_span[0]), x_pts])
     hi_pts = np.column_stack([np.full(n_lines, t_span[1]), x_pts])
-    attained_lo = float(cand.eval_many(lo_pts, d1).max())
-    attained_hi = float(cand.eval_many(hi_pts, d1).min())
-    if attained_hi <= attained_lo:
-        raise ZOutOfRange(
-            "the x-lines share no common attained range of u_t; "
-            "narrow the transverse box"
-        )
-    if z_span is None:
-        width = attained_hi - attained_lo
-        z_span = (attained_lo + 0.05 * width, attained_hi - 0.05 * width)
-    else:
-        if z_span[0] < attained_lo or z_span[1] > attained_hi:
-            raise ZOutOfRange(
-                f"requested z-range {z_span} exceeds the attained range "
-                f"({attained_lo:.6g}, {attained_hi:.6g})"
-            )
     if z_count is None:
         z_count = 33
+    z_span, z = _z_axis(
+        float(cand.eval_many(lo_pts, d1).max()), float(cand.eval_many(hi_pts, d1).min()), z_span, z_count
+    )
 
-    z = np.linspace(z_span[0], z_span[1], z_count)
     t = np.empty(z_count * n_lines)
     # blocks of nodes bound the working memory; nodes do not interact.  Node
     # k of the (z, x) grid in C order sits at z[k // n_lines], x_pts[k % n_lines].
@@ -641,7 +631,8 @@ def he_reduction_report(source, box=None, samples_per_axis=17, tol=1e-8, theta=T
             "u11_max": float(utt.max()),
             "osc_u11": osc,
             "tolerance": tol,
-            "is_he_form": bool(osc <= tol),
+            # He's form u = a t^2 + t b + g needs a = u_tt / 2 > 0
+            "is_he_form": bool(osc <= tol and utt.min() > 0.0),
         }
     else:
         if box is None:

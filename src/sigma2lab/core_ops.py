@@ -11,9 +11,12 @@ invariant under rotations of the transverse block and quadratic in H, and
 its derivative at H is contraction with the matrix returned by
 ``sigma2_linearization``.
 
-All finite differences are second-order central stencils on uniform grids;
-``laplacian``, ``hessian_parts`` and ``sigma2_interior`` are the whole-box
-combinations of them that the solver and the analysis probes share.
+All finite differences are second-order central stencils on uniform grids,
+read from one table: ``hessian_stencil`` gives the legs and divisor of each
+Hessian entry, and ``hessian_entry``, ``second_diff``, ``fd_hessian`` and the
+solver's Jacobian all derive from it.  ``laplacian``, ``hessian_parts`` and
+``sigma2_interior`` are the whole-box combinations that the solver and the
+analysis probes share.
 Fields are serialized as a JSON header plus a raw little-endian float64
 payload (extension pair ``.fld.json`` / ``.fld.bin``).
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +40,9 @@ __all__ = [
     "sigma2_linearization",
     "fd_hessian",
     "shifted",
+    "hessian_stencil",
+    "hessian_entry",
     "second_diff",
-    "cross_diff",
     "laplacian",
     "hessian_parts",
     "sigma2_interior",
@@ -249,35 +254,15 @@ def _require_interior(field: ScalarField, node: tuple[int, ...]) -> None:
 
 
 def fd_hessian(field: ScalarField, node: tuple[int, ...]) -> np.ndarray:
-    """Central-difference Hessian at an interior node (exact on quadratics)."""
+    """Central-difference Hessian at an interior node (exact on quadratics):
+    every ``hessian_entry`` over the node's 3^d block."""
     _require_interior(field, node)
-    u = field.values
-    h = field.grid.spacing
-    node = tuple(node)
+    block = field.values[tuple(slice(i - 1, i + 2) for i in node)]
     n = field.grid.dim
     out = np.zeros((n, n))
     for a in range(n):
-        plus = list(node)
-        minus = list(node)
-        plus[a] += 1
-        minus[a] -= 1
-        out[a, a] = (u[tuple(plus)] - 2.0 * u[node] + u[tuple(minus)]) / h[a] ** 2
-        for b in range(a + 1, n):
-            pp = list(node)
-            pm = list(node)
-            mp = list(node)
-            mm = list(node)
-            pp[a] += 1
-            pp[b] += 1
-            pm[a] += 1
-            pm[b] -= 1
-            mp[a] -= 1
-            mp[b] += 1
-            mm[a] -= 1
-            mm[b] -= 1
-            out[a, b] = out[b, a] = (
-                u[tuple(pp)] - u[tuple(pm)] - u[tuple(mp)] + u[tuple(mm)]
-            ) / (4.0 * h[a] * h[b])
+        for b in range(a, n):
+            out[a, b] = out[b, a] = hessian_entry(block, a, b, field.grid.spacing).item()
     return out
 
 
@@ -295,31 +280,43 @@ def shifted(values: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
     return values[tuple(sl)]
 
 
+@lru_cache(maxsize=None)
+def _legs(dim: int, a: int, b: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def offset(steps: dict) -> tuple[int, ...]:
+        return tuple(steps.get(k, 0) for k in range(dim))
+
+    if a == b:
+        return tuple((offset({a: s}), w) for s, w in ((1, 1), (0, -2), (-1, 1)))
+    return tuple((offset({a: sa, b: sb}), sa * sb) for sa in (1, -1) for sb in (1, -1))
+
+
+def hessian_stencil(dim: int, a: int, b: int, spacing: tuple[float, ...]):
+    """The one central-difference table: the legs of Hessian entry (a, b) as
+    (offset, integer weight) pairs in summation order (the first has weight
+    1), and their divisor.
+
+    A diagonal entry has the three legs e_a, 0, -e_a with weights 1, -2, 1
+    over h_a**2; a mixed entry the four legs +-e_a +-e_b with weight
+    s_a * s_b over 4 h_a h_b.
+    """
+    divisor = spacing[a] ** 2 if a == b else 4.0 * spacing[a] * spacing[b]
+    return _legs(dim, a, b), divisor
+
+
+def hessian_entry(values: np.ndarray, a: int, b: int, spacing: tuple[float, ...]) -> np.ndarray:
+    """Hessian entry (a, b) over the interior box: the legs of
+    ``hessian_stencil`` added or subtracted left to right, then one division."""
+    legs, divisor = hessian_stencil(values.ndim, a, b, spacing)
+    out = None
+    for off, w in legs:
+        term = shifted(values, off) if abs(w) == 1 else abs(w) * shifted(values, off)
+        out = term if out is None else (out + term if w > 0 else out - term)
+    return out / divisor
+
+
 def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second difference along ``axis`` over the interior box."""
-    ndim = values.ndim
-    e = tuple(1 if a == axis else 0 for a in range(ndim))
-    me = tuple(-v for v in e)
-    zero = (0,) * ndim
-    return (shifted(values, e) - 2.0 * shifted(values, zero) + shifted(values, me)) / h**2
-
-
-def cross_diff(values: np.ndarray, axis_a: int, axis_b: int, ha: float, hb: float) -> np.ndarray:
-    """Mixed second difference over the interior box (4-point stencil)."""
-    ndim = values.ndim
-
-    def off(sa: int, sb: int) -> tuple[int, ...]:
-        o = [0] * ndim
-        o[axis_a] = sa
-        o[axis_b] = sb
-        return tuple(o)
-
-    return (
-        shifted(values, off(1, 1))
-        - shifted(values, off(1, -1))
-        - shifted(values, off(-1, 1))
-        + shifted(values, off(-1, -1))
-    ) / (4.0 * ha * hb)
+    return hessian_entry(values, axis, axis, (h,) * values.ndim)
 
 
 def laplacian(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
@@ -335,7 +332,7 @@ def hessian_parts(values: np.ndarray, spacing: tuple[float, ...]) -> tuple[np.nd
     u_tt, the transverse diagonal [u_ii] and the mixed t-row [u_ti], i >= 1."""
     utt = second_diff(values, 0, spacing[0])
     diag = [second_diff(values, axis, spacing[axis]) for axis in range(1, values.ndim)]
-    cross = [cross_diff(values, 0, axis, spacing[0], spacing[axis]) for axis in range(1, values.ndim)]
+    cross = [hessian_entry(values, 0, axis, spacing) for axis in range(1, values.ndim)]
     return utt, diag, cross
 
 

@@ -4,9 +4,10 @@ The discrete residual at an interior node is sigma2_tilde of the central
 second-difference Hessian minus 1.  Because the operator is quadratic in u,
 Newton's method with the exact Jacobian converges quadratically once inside
 the ellipticity cone u_tt > 0; a backtracking line search on ||F||_2 keeps
-iterates there.  ``assemble_jacobian`` builds it from the same Hessian parts
-as the residual (``core_ops.hessian_parts``): the row of a node holds the
-coefficients Lap_x u, u_tt and -2 u_ti of its u_tt, u_ii and u_ti stencils.
+iterates there.  ``assemble_jacobian`` derives it from the residual's stencil
+table (``core_ops.hessian_stencil``): each Hessian entry's legs, times the
+partial derivative Lap_x u, u_tt or -2 u_ti of sigma2_tilde in u_tt, u_ii or
+u_ti, summed per offset.
 Boundary nodes are hard Dirichlet constraints eliminated from the linear
 systems.
 
@@ -68,6 +69,7 @@ from .core_ops import (
     Grid,
     ScalarField,
     hessian_parts,
+    hessian_stencil,
     laplacian,
     mesh_points,
     second_diff,
@@ -213,29 +215,17 @@ def assemble_jacobian(u: ScalarField) -> sp.csr_matrix:
     h = u.grid.spacing
     ndim = u.grid.dim
     utt, diag, cross = hessian_parts(u.values, h)
-    c00 = sum(diag)
-    entries = []
-    center = -2.0 * c00 / h[0] ** 2
-    for a in range(1, ndim):
-        center = center - 2.0 * utt / h[a] ** 2
-    entries.append(((0,) * ndim, center))
-    for s in (1, -1):
-        off = [0] * ndim
-        off[0] = s
-        entries.append((tuple(off), c00 / h[0] ** 2))
-    for a in range(1, ndim):
-        for s in (1, -1):
-            off = [0] * ndim
-            off[a] = s
-            entries.append((tuple(off), utt / h[a] ** 2))
-        # mixed t-x legs: coefficient -u_ti enters with the 4-point stencil signs
-        for s0 in (1, -1):
-            for sa in (1, -1):
-                off = [0] * ndim
-                off[0] = s0
-                off[a] = sa
-                entries.append((tuple(off), -cross[a - 1] * (s0 * sa) / (2.0 * h[0] * h[a])))
-    return _stencil_matrix(entries, u.grid.interior_shape)
+    # d sigma2_tilde / d H_ab for every entry the operator reads
+    partials = [((0, 0), sum(diag))]
+    partials += [((a, a), utt) for a in range(1, ndim)]
+    partials += [((0, a), -2.0 * cross[a - 1]) for a in range(1, ndim)]
+    entries = {}
+    for (a, b), coeff in partials:
+        legs, divisor = hessian_stencil(ndim, a, b, h)
+        for off, w in legs:
+            term = w * coeff / divisor
+            entries[off] = entries[off] + term if off in entries else term
+    return _stencil_matrix(list(entries.items()), u.grid.interior_shape)
 
 
 def _boundary_only(problem: DirichletProblem) -> np.ndarray:

@@ -255,6 +255,26 @@ def test_field_round_trip_through_cli(tmp_path, capsys):
     assert "round_trip_max" not in doc  # no exact inverse available for fields
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lambda t, x, y: t + x**2 + y**2, lambda t, x, y: -(t**2) + x**2 + y**2],
+    ids=["u_tt_zero", "u_tt_negative"],
+)
+def test_classify_field_with_constant_nonpositive_u_tt_is_not_he_form(fn, tmp_path, capsys):
+    # He's form a t^2 + t b + g needs a > 0; a constant u_tt <= 0 is not it
+    g = Grid(((-1.0, 1.0),) * 3, (9, 9, 9))
+    ScalarField.from_callable(g, fn).save(tmp_path / "u")
+    code = main(["classify", "--field", str(tmp_path / "u")])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0
+    assert doc["verdict"] == "NOT-He-form"
+    assert doc["a"] is None and doc["poisson_residual_max"] is None
+
+
 def test_inline_json_candidate(capsys):
     spec = json.dumps({"variant": "counterexample", "kappa": 0.25})
     code, doc, _ = run(capsys, "verify", "--candidate", spec, "--points", "100")

@@ -7,8 +7,9 @@ import oracles
 from sigma2lab.core_ops import (
     Grid,
     ScalarField,
-    cross_diff,
     fd_hessian,
+    hessian_entry,
+    hessian_stencil,
     laplacian,
     second_diff,
     shifted,
@@ -176,10 +177,83 @@ def test_second_diff_exact_on_quadratics():
     d2t = second_diff(f.values, 0, g.spacing[0])
     assert d2t.shape == g.interior_shape
     np.testing.assert_allclose(d2t, 6.0, atol=1e-11)
-    mixed = cross_diff(f.values, 0, 1, *g.spacing)
+    mixed = hessian_entry(f.values, 0, 1, g.spacing)
     np.testing.assert_allclose(mixed, 1.0, atol=1e-11)
     # the two axes have different spacings, so a swapped spacing index shows
     np.testing.assert_allclose(laplacian(f.values, g.spacing), 10.0, atol=1e-11)
+
+
+# the hand-written stencils the table replaced, kept as literal references
+def _literal_second_diff(u, axis, h):
+    e = tuple(1 if a == axis else 0 for a in range(u.ndim))
+    me = tuple(-v for v in e)
+    return (shifted(u, e) - 2.0 * shifted(u, (0,) * u.ndim) + shifted(u, me)) / h**2
+
+
+def _literal_cross_diff(u, a, b, ha, hb):
+    def off(sa, sb):
+        o = [0] * u.ndim
+        o[a], o[b] = sa, sb
+        return tuple(o)
+
+    return (
+        shifted(u, off(1, 1)) - shifted(u, off(1, -1)) - shifted(u, off(-1, 1)) + shifted(u, off(-1, -1))
+    ) / (4.0 * ha * hb)
+
+
+def _literal_fd_hessian(field, node):
+    u, h, n = field.values, field.grid.spacing, field.grid.dim
+    out = np.zeros((n, n))
+
+    def at(steps):
+        return u[tuple(i + steps.get(k, 0) for k, i in enumerate(node))]
+
+    for a in range(n):
+        out[a, a] = (at({a: 1}) - 2.0 * u[node] + at({a: -1})) / h[a] ** 2
+        for b in range(a + 1, n):
+            out[a, b] = out[b, a] = (
+                at({a: 1, b: 1}) - at({a: 1, b: -1}) - at({a: -1, b: 1}) + at({a: -1, b: -1})
+            ) / (4.0 * h[a] * h[b])
+    return out
+
+
+STENCIL_GRIDS = [
+    Grid(((-1.0, 1.0), (0.0, 3.0)), (7, 9)),
+    Grid(((-1.0, 1.0),) * 3, (7, 7, 7)),
+    Grid(((-1.0, 1.0), (0.0, 3.0), (-0.5, 0.25)), (33, 17, 9)),
+]
+STENCIL_IDS = ["plane7x9", "cube7", "box33x17x9"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
+@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=STENCIL_IDS)
+def test_stencil_table_reproduces_the_literal_stencils_bit_for_bit(g, scale):
+    f = ScalarField(g, scale * np.random.default_rng(12).normal(size=g.shape))
+    u, h = f.values, g.spacing
+    for a in range(g.dim):
+        np.testing.assert_array_equal(second_diff(u, a, h[a]), _literal_second_diff(u, a, h[a]))
+        np.testing.assert_array_equal(hessian_entry(u, a, a, h), _literal_second_diff(u, a, h[a]))
+        for b in range(a + 1, g.dim):
+            want = _literal_cross_diff(u, a, b, h[a], h[b])
+            np.testing.assert_array_equal(hessian_entry(u, a, b, h), want)
+            np.testing.assert_array_equal(hessian_entry(u, b, a, h), _literal_cross_diff(u, b, a, h[b], h[a]))
+    for idx in np.ndindex(*g.interior_shape):
+        node = tuple(i + 1 for i in idx)
+        np.testing.assert_array_equal(fd_hessian(f, node), _literal_fd_hessian(f, node))
+
+
+def test_hessian_stencil_legs_and_divisors():
+    h = (0.5, 0.25, 0.125)
+    legs, div = hessian_stencil(3, 1, 1, h)
+    assert legs == (((0, 1, 0), 1), ((0, 0, 0), -2), ((0, -1, 0), 1))
+    assert div == 0.25**2
+    legs, div = hessian_stencil(3, 0, 2, h)
+    assert legs == (((1, 0, 1), 1), ((1, 0, -1), -1), ((-1, 0, 1), -1), ((-1, 0, -1), 1))
+    assert div == 4.0 * 0.5 * 0.125
+    # every entry's weights sum to zero: constants have a zero Hessian
+    for a in range(3):
+        for b in range(3):
+            assert sum(w for _, w in hessian_stencil(3, a, b, h)[0]) == 0
 
 
 def test_shifted_rejects_bad_offset():

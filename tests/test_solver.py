@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from sigma2lab import solver
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
 from sigma2lab.cli import main
-from sigma2lab.core_ops import Grid, ScalarField, second_diff, sigma2_interior
+from sigma2lab.core_ops import Grid, ScalarField, hessian_parts, second_diff, sigma2_interior
 from sigma2lab.errors import (
     ConfigError,
     EllipticityLost,
@@ -122,6 +122,53 @@ def test_cached_pattern_jacobian_is_bit_identical_to_coo_build(g, monkeypatch):
             got, want = getattr(J, name), getattr(ref, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def _literal_jacobian_entries(u):
+    """The Jacobian's (offset, coefficient) list written out by hand, as it
+    was before the stencil table: the reference for the derived one."""
+    h = u.grid.spacing
+    ndim = u.grid.dim
+    utt, diag, cross = hessian_parts(u.values, h)
+    c00 = sum(diag)
+    center = -2.0 * c00 / h[0] ** 2
+    for a in range(1, ndim):
+        center = center - 2.0 * utt / h[a] ** 2
+    entries = [((0,) * ndim, center)]
+    for s in (1, -1):
+        off = [0] * ndim
+        off[0] = s
+        entries.append((tuple(off), c00 / h[0] ** 2))
+    for a in range(1, ndim):
+        for s in (1, -1):
+            off = [0] * ndim
+            off[a] = s
+            entries.append((tuple(off), utt / h[a] ** 2))
+        for s0 in (1, -1):
+            for sa in (1, -1):
+                off = [0] * ndim
+                off[0] = s0
+                off[a] = sa
+                entries.append((tuple(off), -cross[a - 1] * (s0 * sa) / (2.0 * h[0] * h[a])))
+    return entries
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
+@pytest.mark.parametrize(
+    "g",
+    [
+        Grid(((-1.0, 1.0), (0.0, 3.0)), (7, 9)),
+        cube(-1.0, 1.0, 7),
+        Grid(((-1.0, 1.0), (0.0, 3.0), (-0.5, 0.25)), (33, 17, 9)),
+    ],
+    ids=["plane7x9", "cube7", "box33x17x9"],
+)
+def test_table_jacobian_is_bit_identical_to_the_literal_entry_list(g, scale):
+    u = ScalarField(g, scale * np.random.default_rng(6).normal(size=g.shape))
+    J = assemble_jacobian(u)
+    ref = _coo_stencil_matrix(_literal_jacobian_entries(u), g.interior_shape)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(J, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("shape", [(21, 21, 21), (33, 17, 9)], ids=["cube21", "box33x17x9"])
