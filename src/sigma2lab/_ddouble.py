@@ -77,10 +77,6 @@ def dd_add_d(x, a):
     return two_sum(sh, sl)
 
 
-def dd_neg(x):
-    return -x[0], -x[1]
-
-
 def dd_sq(x):
     return dd_mul(x, x)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import Quadratic, is_he_form
+from .candidates import Quadratic
 from .core_ops import (
     Grid,
     ScalarField,
@@ -98,14 +98,19 @@ class EllipsoidMap:
         return EllipsoidMap(s * self.M, self.center)
 
 
+def _gradient(candidate, x: np.ndarray) -> np.ndarray:
+    """Exact gradient of ``candidate`` at the single point ``x``."""
+    return np.array([candidate.eval_many(x[None], e)[0] for e in np.eye(x.size, dtype=int)])
+
+
 def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
     """Damped Newton on the gradient, tolerance 1e-10 on its sup-norm."""
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(100):
-        g = candidate.gradient(x)
+        g = _gradient(candidate, x)
         if np.abs(g).max() <= 1e-10:
             return x
-        H = candidate.hessian(x)
+        H = candidate.hessian_many(x[None])[0]
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -114,13 +119,13 @@ def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
         gn = np.linalg.norm(g)
         for _ in range(40):
             trial = x + alpha * step
-            if np.linalg.norm(candidate.gradient(trial)) < gn:
+            if np.linalg.norm(_gradient(candidate, trial)) < gn:
                 x = trial
                 break
             alpha *= 0.5
         else:
             raise NoInteriorPoint("minimizer search stalled; no descent step found")
-    g = candidate.gradient(x)
+    g = _gradient(candidate, x)
     if np.abs(g).max() > 1e-8:
         raise NoInteriorPoint(
             f"minimizer search did not converge (|grad| = {np.abs(g).max():.3e})"
@@ -216,8 +221,8 @@ class SublevelSet:
                 "sublevel machinery requires a convex source"
             )
         xstar = _minimize_candidate(candidate, np.zeros(dim))
-        u0 = candidate.eval(xstar)
-        g0 = candidate.gradient(xstar)
+        u0 = candidate.eval_many(xstar[None])[0]
+        g0 = _gradient(candidate, xstar)
 
         def value(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
@@ -534,29 +539,20 @@ def harmonicity_test(theta: ScalarField) -> float:
 
 
 def _he_extract_candidate(cand, box, samples_per_axis):
-    dim = cand.dim
-    nt = dim - 1
+    nt = cand.dim - 1
     x_axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in box[1:]]
     x_pts = mesh_points(x_axes)
     zero_t = np.column_stack([np.zeros(x_pts.shape[0]), x_pts])
-
-    def dcount(t_order, x_orders):
-        return (t_order, *x_orders)
-
-    a = float(cand.eval(np.zeros(dim), dcount(2, (0,) * nt))) / 2.0
-    b_vals = cand.eval_many(zero_t, dcount(1, (0,) * nt))
-    g_vals = cand.eval_many(zero_t, dcount(0, (0,) * nt))
+    a = float(cand.eval_many(np.zeros((1, cand.dim)), (2,) + (0,) * nt)[0]) / 2.0
+    b_vals = cand.eval_many(zero_t, (1,) + (0,) * nt)
+    g_vals = cand.eval_many(zero_t, (0,) * (nt + 1))
     lap_b = np.zeros(x_pts.shape[0])
     lap_g = np.zeros(x_pts.shape[0])
     grad_b_sq = np.zeros(x_pts.shape[0])
-    for k in range(nt):
-        two = [0] * nt
-        two[k] = 2
-        one = [0] * nt
-        one[k] = 1
-        lap_b += cand.eval_many(zero_t, dcount(1, tuple(two)))
-        lap_g += cand.eval_many(zero_t, dcount(0, tuple(two)))
-        grad_b_sq += cand.eval_many(zero_t, dcount(1, tuple(one))) ** 2
+    for one in np.eye(nt, dtype=int):
+        lap_b += cand.eval_many(zero_t, (1, *2 * one))
+        lap_g += cand.eval_many(zero_t, (0, *2 * one))
+        grad_b_sq += cand.eval_many(zero_t, (1, *one)) ** 2
     poisson = lap_g - (1.0 + grad_b_sq) / (2.0 * a)
     t_samples = np.linspace(box[0][0], box[0][1], 9)
     round_trip = 0.0
@@ -618,37 +614,35 @@ def _he_extract_field(fld: ScalarField):
 
 def he_reduction_report(source, box=None, samples_per_axis=17, tol=1e-8, theta=True) -> dict:
     """Oscillation of u_tt, verdict, extracted (a, b, g) with identity residuals,
-    and the harmonicity level of the transformed theta."""
-    if isinstance(source, ScalarField):
-        grid = source.grid
-        box = [tuple(b) for b in grid.bounds]
-        utt = second_diff(source.values, 0, grid.spacing[0])
-        osc = float(utt.max() - utt.min())
-        report = {
-            "source": "field",
-            "probe_box": [list(b) for b in box],
-            "u11_min": float(utt.min()),
-            "u11_max": float(utt.max()),
-            "osc_u11": osc,
-            "tolerance": tol,
-            # He's form u = a t^2 + t b + g needs a = u_tt / 2 > 0
-            "is_he_form": bool(osc <= tol and utt.min() > 0.0),
-        }
+    and the harmonicity level of the transformed theta.
+
+    u_tt is read once: exact on a 33-per-axis mesh of ``box`` (default
+    [-2, 2]^n) for a candidate, by central second differences at the interior
+    nodes for a field.  The source is of He's form u = a t^2 + t b + g, which
+    needs a = u_tt / 2 > 0, when the oscillation of u_tt is at most ``tol``
+    and its minimum is positive.
+    """
+    field = isinstance(source, ScalarField)
+    if field:
+        box = [tuple(b) for b in source.grid.bounds]
+        utt = second_diff(source.values, 0, source.grid.spacing[0])
     else:
         if box is None:
             box = [(-2.0, 2.0)] * source.dim
-        flag, probe = is_he_form(source, box=box, tol=tol)
-        report = {
-            "source": "candidate",
-            "probe_box": [list(b) for b in box],
-            "u11_min": probe["u_tt_min"],
-            "u11_max": probe["u_tt_max"],
-            "osc_u11": probe["u_tt_oscillation"],
-            "tolerance": tol,
-            "is_he_form": flag,
-        }
+        probe = mesh_points([np.linspace(lo, hi, 33) for lo, hi in box])
+        utt = source.eval_many(probe, (2,) + (0,) * (source.dim - 1))
+    osc = float(utt.max() - utt.min())
+    report = {
+        "source": "field" if field else "candidate",
+        "probe_box": [list(b) for b in box],
+        "u11_min": float(utt.min()),
+        "u11_max": float(utt.max()),
+        "osc_u11": osc,
+        "tolerance": tol,
+        "is_he_form": bool(osc <= tol and utt.min() > 0.0),
+    }
     if report["is_he_form"]:
-        if isinstance(source, ScalarField):
+        if field:
             report.update(_he_extract_field(source))
         else:
             report.update(_he_extract_candidate(source, box, samples_per_axis))
@@ -661,7 +655,7 @@ def he_reduction_report(source, box=None, samples_per_axis=17, tol=1e-8, theta=T
         )
     if theta:
         try:
-            if isinstance(source, ScalarField):
+            if field:
                 th = partial_legendre(source)
             else:
                 th = partial_legendre(source, t_span=box[0], x_spans=tuple(box[1:]))

@@ -14,8 +14,10 @@ would wreck a naive evaluation:
                    2a * Lap(g) = 1 + |grad b|^2, the general shape of any
                    solution whose u_tt is a (positive) constant.
 
-``make_he_form`` solves the Poisson constraint for g in closed form,
-``is_he_form`` probes whether a candidate has constant u_tt.
+``make_he_form`` solves the Poisson constraint for g in closed form.  The
+pointwise readers are batched only: ``eval_many``, ``hessian_many`` and
+``residual_many`` take an (N, dim) array of points and return row n for
+point n.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _ddouble as dd
-from .core_ops import mesh_points, sigma2_tilde
+from .core_ops import sigma2_tilde
 from .errors import ConfigError, DegreeTooHigh, UnsupportedOrder
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "Counterexample",
     "HeForm",
     "make_he_form",
-    "is_he_form",
     "candidate_to_json",
     "candidate_from_json",
     "candidate_from_dict",
@@ -186,9 +187,6 @@ class Poly:
             acc = dd.dd_add(acc, dd.dd_mul_d(term, c))
         return acc
 
-    def eval(self, x) -> float:
-        return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict[str, float]:
         return {",".join(str(v) for v in e): c for e, c in sorted(self.coeffs.items())}
@@ -257,27 +255,12 @@ class CandidateSolution:
 
     # subclasses implement _eval_many(points, index) and _residual_parts_dd(points)
 
-    def eval(self, point, index=None) -> float:
-        return float(self.eval_many(np.asarray(point, dtype=float).reshape(1, -1), index)[0])
-
     def eval_many(self, points, index=None) -> np.ndarray:
         if index is None:
             index = (0,) * self.dim
         index = _check_index(index, self.dim)
         pts = _check_points(points, self.dim)
         return self._eval_many(pts, index)
-
-    def gradient(self, point) -> np.ndarray:
-        pts = _check_points(point, self.dim)
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            e = [0] * self.dim
-            e[i] = 1
-            out[i] = self._eval_many(pts, tuple(e))[0]
-        return out
-
-    def hessian(self, point) -> np.ndarray:
-        return self.hessian_many(point)[0]
 
     def hessian_many(self, points) -> np.ndarray:
         pts = _check_points(points, self.dim)
@@ -292,9 +275,6 @@ class CandidateSolution:
                 out[:, i, j] = vals
                 out[:, j, i] = vals
         return out
-
-    def residual(self, point) -> float:
-        return float(self.residual_many(point)[0])
 
     def residual_many(self, points) -> np.ndarray:
         """sigma2_tilde(D^2 u) - 1, evaluated in compensated arithmetic.
@@ -514,7 +494,7 @@ class HeForm(CandidateSolution):
 
 
 # ---------------------------------------------------------------------------
-# constructors / classifiers
+# constructors
 # ---------------------------------------------------------------------------
 
 
@@ -570,35 +550,6 @@ def make_he_form(a: float, b: Poly) -> HeForm:
         if trace != 0.0:
             g = g + (trace / (2.0 * nu) / (4.0 * nu + 8.0)) * (rho2 * rho2)
     return HeForm(a, b, g)
-
-
-def is_he_form(candidate: CandidateSolution, box=None, samples_per_axis: int = 33,
-               tol: float = 1e-10) -> tuple[bool, dict]:
-    """Probe whether u_tt is constant; returns (verdict, report).
-
-    The report carries the u_tt oscillation (max - min) over a dense grid on
-    the probe box (default [-2, 2]^n) plus the structural answer when the
-    family makes it exact.
-    """
-    n = candidate.dim
-    if box is None:
-        box = [(-2.0, 2.0)] * n
-    pts = mesh_points([np.linspace(lo, hi, samples_per_axis) for lo, hi in box])
-    index = (2,) + (0,) * (n - 1)
-    utt = candidate.eval_many(pts, index)
-    osc = float(utt.max() - utt.min())
-    structural = isinstance(candidate, (HeForm, Quadratic))
-    verdict = structural or osc <= tol
-    report = {
-        "u_tt_oscillation": osc,
-        "u_tt_min": float(utt.min()),
-        "u_tt_max": float(utt.max()),
-        "probe_box": [list(map(float, b)) for b in box],
-        "samples": int(pts.shape[0]),
-        "structurally_constant": structural,
-        "is_he_form": bool(verdict),
-    }
-    return bool(verdict), report
 
 
 # ---------------------------------------------------------------------------

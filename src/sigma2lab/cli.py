@@ -88,6 +88,13 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"bad vector {text!r}") from exc
 
 
+def _check_tol(tol: float) -> None:
+    """A check's --tol: finite and non-negative, so the verdict and the JSON
+    report stay meaningful."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and non-negative, got {tol}")
+
+
 def _load_candidate(args) -> CandidateSolution:
     spec = args.candidate
     if spec is None:
@@ -254,6 +261,7 @@ def _sample_box(rng, box, count: int) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)
     cand = _load_candidate(args)
     dim = cand.dim
     box = (
@@ -283,6 +291,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    _check_tol(args.tol)
     cand = _load_candidate(args)
     rng = np.random.default_rng(args.seed)
     box = [(-1.0, 1.0)] * 4
@@ -399,6 +408,7 @@ def cmd_barrier(args) -> int:
 
 
 def cmd_legendre(args) -> int:
+    _check_tol(args.tol)
     source = _load_source(args)
     kwargs = {}
     if args.t_span:
@@ -440,6 +450,7 @@ def cmd_legendre(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_tol(args.tol)
     source = _load_source(args)
     rep = analysis.he_reduction_report(source, tol=args.tol)
     b_vals = rep.pop("b_values", None)
@@ -626,9 +637,8 @@ def main(argv=None) -> int:
         return 2
     except SolverError as exc:
         sys.stderr.write(f"solver failure: {type(exc).__name__}: {exc}\n")
-        report = getattr(exc, "report", None)
-        if report is not None:
-            sys.stderr.write(json.dumps(_jsonable(report.to_dict()), indent=2, sort_keys=True) + "\n")
+        if exc.report is not None:
+            sys.stderr.write(json.dumps(_jsonable(exc.report.to_dict()), indent=2, sort_keys=True) + "\n")
         return 3
 
 

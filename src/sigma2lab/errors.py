@@ -50,23 +50,20 @@ class ZOutOfRange(ConfigError):
 
 
 class SolverError(Sigma2LabError):
-    """Base class for Newton-solver failures."""
+    """Base class for Newton-solver failures; ``report`` is the solve report
+    at the failure, or None."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class MaxIterExceeded(SolverError):
     """The iteration or line-search budget ran out before convergence."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class EllipticityLost(SolverError):
     """An iterate left the cone u_tt > 0 where the linearization is elliptic."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class LinearSolveFailure(SolverError):

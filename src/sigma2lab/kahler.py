@@ -73,7 +73,6 @@ _BASE = {(0, 0, 0): 1.0 + 0.0j}
 # g[i][j] = d_{z_i} d_{zbar_j} u and its first/second z-derivatives
 _G_EXPR = [[_apply(_apply(_BASE, i, False), j, True) for j in range(2)] for i in range(2)]
 _DG_EXPR = [[[_apply(_G_EXPR[i][j], k, False) for j in range(2)] for i in range(2)] for k in range(2)]
-_DGBAR_EXPR = [[[_apply(_G_EXPR[i][j], l, True) for j in range(2)] for i in range(2)] for l in range(2)]
 _D2G_EXPR = [
     [[[_apply(_DG_EXPR[k][i][j], l, True) for j in range(2)] for i in range(2)] for l in range(2)]
     for k in range(2)
@@ -104,16 +103,16 @@ def metric_batch(potential, points) -> dict[str, np.ndarray]:
     cache: dict[tuple[int, int, int], np.ndarray] = {}
     g = np.empty((n, 2, 2), dtype=complex)
     dg = np.empty((n, 2, 2, 2), dtype=complex)
-    dgbar = np.empty((n, 2, 2, 2), dtype=complex)
     d2g = np.empty((n, 2, 2, 2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             g[:, i, j] = _eval_expr(_G_EXPR[i][j], cache, potential, pts3)
             for k in range(2):
                 dg[:, k, i, j] = _eval_expr(_DG_EXPR[k][i][j], cache, potential, pts3)
-                dgbar[:, k, i, j] = _eval_expr(_DGBAR_EXPR[k][i][j], cache, potential, pts3)
                 for l in range(2):
                     d2g[:, k, l, i, j] = _eval_expr(_D2G_EXPR[k][l][i][j], cache, potential, pts3)
+    # g is Hermitian, so d_{zbar_k} g_{ij} = conj(d_{z_k} g_{ji})
+    dgbar = np.conj(np.swapaxes(dg, -1, -2))
     return {"points": pts4, "g": g, "dg": dg, "dgbar": dgbar, "d2g": d2g}
 
 

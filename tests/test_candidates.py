@@ -16,7 +16,6 @@ from sigma2lab.candidates import (
     candidate_from_dict,
     candidate_from_json,
     candidate_to_json,
-    is_he_form,
     _sigma2_parts_dd,
     make_he_form,
 )
@@ -71,20 +70,21 @@ def test_harmonic_poly_gatekeeping():
 
 def test_quadratic_standard_pinned():
     q = Quadratic.standard(3)
-    assert q.eval((1.0, 1.0, 0.5)) == pytest.approx(0.5 + 0.25 + 0.0625, abs=1e-14)
-    np.testing.assert_allclose(q.hessian((0.0, 0.0, 0.0)), np.diag([1.0, 0.5, 0.5]))
-    np.testing.assert_allclose(q.gradient((1.0, 2.0, -2.0)), [1.0, 1.0, -1.0])
+    assert q.eval_many([[1.0, 1.0, 0.5]]) == pytest.approx([0.5 + 0.25 + 0.0625], abs=1e-14)
+    np.testing.assert_allclose(q.hessian_many([[0.0, 0.0, 0.0]]), [np.diag([1.0, 0.5, 0.5])])
+    gradient = [q.eval_many([[1.0, 2.0, -2.0]], e)[0] for e in np.eye(3, dtype=int)]
+    np.testing.assert_allclose(gradient, [1.0, 1.0, -1.0])
 
 
 def test_counterexample_pinned():
     ce = Counterexample()
-    p = (0.0, 1.0, 0.0)
-    assert ce.eval(p) == pytest.approx(1.25, abs=1e-14)
-    assert ce.eval(p, (1, 0, 0)) == pytest.approx(0.75, abs=1e-14)  # r^2 e^t - k e^-t
-    assert ce.eval(p, (2, 0, 0)) == pytest.approx(1.25, abs=1e-14)
-    assert ce.eval(p, (1, 1, 0)) == pytest.approx(2.0, abs=1e-14)  # 2x e^t
-    assert ce.eval(p, (0, 2, 0)) == pytest.approx(2.0, abs=1e-14)
-    assert ce.eval(p, (0, 1, 1)) == 0.0
+    p = [[0.0, 1.0, 0.0]]
+    assert ce.eval_many(p) == pytest.approx([1.25], abs=1e-14)
+    assert ce.eval_many(p, (1, 0, 0)) == pytest.approx([0.75], abs=1e-14)  # r^2 e^t - k e^-t
+    assert ce.eval_many(p, (2, 0, 0)) == pytest.approx([1.25], abs=1e-14)
+    assert ce.eval_many(p, (1, 1, 0)) == pytest.approx([2.0], abs=1e-14)  # 2x e^t
+    assert ce.eval_many(p, (0, 2, 0)) == pytest.approx([2.0], abs=1e-14)
+    assert ce.eval_many(p, (0, 1, 1))[0] == 0.0
 
 
 def test_counterexample_solution_flag():
@@ -119,12 +119,6 @@ def test_counterexample_off_solution_residual_is_constant():
     ce = Counterexample(kappa=1.0)
     pts = random_points(2, 500, 3)
     np.testing.assert_allclose(ce.residual_many(pts), 3.0, atol=1e-12)
-
-
-def test_residual_single_point_matches_batch():
-    ce = Counterexample()
-    p = np.array([0.3, -1.2, 0.7])
-    assert ce.residual(p) == ce.residual_many(p[None, :])[0]
 
 
 BLOCK_CANDIDATES = [
@@ -225,29 +219,18 @@ def test_he_form_rejects_wrong_g():
 
 def test_counterexample_is_not_convex():
     ce = Counterexample()
-    H = ce.hessian((0.0, 2.0, 0.0))
+    H = ce.hessian_many([[0.0, 2.0, 0.0]])
     assert np.linalg.eigvalsh(H).min() < -0.5
     # while the quadratic solution is convex everywhere
     q = Quadratic.standard(3)
-    assert np.linalg.eigvalsh(q.hessian((0.0, 2.0, 0.0))).min() > 0.0
+    assert np.linalg.eigvalsh(q.hessian_many([[0.0, 2.0, 0.0]])).min() > 0.0
 
 
 def test_counterexample_u_tt_unbounded_both_ways():
     ce = Counterexample()
-    utt = lambda t, x: ce.eval((t, x, 0.0), (2, 0, 0))
+    utt = lambda t, x: ce.eval_many([[t, x, 0.0]], (2, 0, 0))[0]
     assert utt(30.0, 1.0) > 1e12
     assert utt(-30.0, 0.0) > 1e12
-
-
-def test_is_he_form_classification():
-    he = make_he_form(0.5, HarmonicPoly(2, {(2, 0): 1.0, (0, 2): -1.0}))
-    verdict, report = is_he_form(he)
-    assert verdict and report["is_he_form"]
-    assert report["u_tt_oscillation"] <= 1e-10
-
-    verdict, report = is_he_form(Counterexample())
-    assert not verdict
-    assert report["u_tt_oscillation"] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +266,12 @@ def test_exact_derivatives_match_finite_differences(cand, index):
 
 
 def test_hessian_many_matches_single_point():
+    # points do not interact: a one-row call gives its row of the batch exactly
     ce = Counterexample()
     pts = random_points(6, 10, 3)
     batch = ce.hessian_many(pts)
     for k, p in enumerate(pts):
-        np.testing.assert_allclose(batch[k], ce.hessian(p), atol=1e-13)
+        np.testing.assert_array_equal(ce.hessian_many(p[None]), batch[k:k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +304,13 @@ def test_quadratic_rejects_wrong_normalization():
 
 def test_derivative_index_validation():
     ce = Counterexample()
-    p = (0.0, 1.0, 0.0)
+    p = [[0.0, 1.0, 0.0]]
     with pytest.raises(UnsupportedOrder):
-        ce.eval(p, (3, 2, 0))
+        ce.eval_many(p, (3, 2, 0))
     with pytest.raises(ConfigError):
-        ce.eval(p, (1, 0))
+        ce.eval_many(p, (1, 0))
     with pytest.raises(ConfigError):
-        ce.eval(p, (-1, 0, 0))
+        ce.eval_many(p, (-1, 0, 0))
 
 
 def test_points_shape_validation():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sigma2lab
 from sigma2lab.analysis import _ROOT_BLOCK
 from sigma2lab.cli import _parser, _write_grid_csv, main
 from sigma2lab.core_ops import Grid, ScalarField
@@ -275,6 +277,16 @@ def test_classify_field_with_constant_nonpositive_u_tt_is_not_he_form(fn, tmp_pa
     assert doc["a"] is None and doc["poisson_residual_max"] is None
 
 
+def test_classify_concave_quadratic_is_not_he_form():
+    # sigma2~(A) = (-1)(-1) = 1, but u_tt = -1: a solution, not of He's form
+    spec = json.dumps({"variant": "quadratic", "A": [[-1, 0, 0], [0, -0.5, 0], [0, 0, -0.5]]})
+    proc = _run_module("classify", "--candidate", spec)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert doc["verdict"] == "NOT-He-form"
+    assert doc["a"] is None and doc["osc_u11"] == 0.0 and doc["u11_min"] == -1.0
+
+
 def test_inline_json_candidate(capsys):
     spec = json.dumps({"variant": "counterexample", "kappa": 0.25})
     code, doc, _ = run(capsys, "verify", "--candidate", spec, "--points", "100")
@@ -371,6 +383,12 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         ["legendre", "--candidate", "counterexample", "--z-count=-3"],
         ["legendre", "--candidate", "counterexample", "--z-count", "0"],
         ["legendre", "--candidate", "counterexample", "--z-count", "4"],
+        ["verify", "--candidate", "counterexample", "--tol", "nan"],
+        ["curvature", "--candidate", "counterexample", "--tol=-1e-3"],
+        ["legendre", "--candidate", "counterexample", "--tol", "inf"],
+        ["classify", "--candidate", "quadratic", "--tol", "nan"],
+        ["classify", "--candidate", "counterexample", "--tol", "nan"],
+        ["classify", "--candidate", "counterexample", "--tol=-inf"],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -378,6 +396,8 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "solve-tol-nan", "solve-tol-negative", "solve-tol-0", "solve-tol-inf",
         "rigidity-tol-nan", "convergence-tol-negative",
         "z-count-negative", "z-count-0", "z-count-4",
+        "verify-tol-nan", "curvature-tol-negative", "legendre-tol-inf",
+        "classify-quadratic-tol-nan", "classify-exponential-tol-nan", "classify-tol-minus-inf",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
@@ -412,6 +432,17 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module must leave its __all__ too
+    modules = [info.name for info in pkgutil.iter_modules(sigma2lab.__path__)]
+    missing = [name for name in sigma2lab.__all__ if name not in modules + ["__version__"]]
+    for name in modules:
+        module = importlib.import_module(f"sigma2lab.{name}")
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", [])
+                    if not hasattr(module, attr)]
+    assert missing == []
 
 
 def test_solve_never_loads_scipy_interpolate():
