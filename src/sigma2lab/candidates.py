@@ -315,8 +315,9 @@ class Quadratic(CandidateSolution):
         if self.b.shape != (self.dim,):
             raise ConfigError(f"linear part must have shape ({self.dim},)")
         self.c = float(c)
-        s = sigma2_tilde(self.A)
-        if abs(s - 1.0) > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = sigma2_tilde(self.A)
+        if not abs(s - 1.0) <= 1e-10:  # NaN fails too
             raise ConfigError(
                 f"sigma2_tilde(A) = {s!r} but a quadratic solution requires the value 1"
             )

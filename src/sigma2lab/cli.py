@@ -88,11 +88,11 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"bad vector {text!r}") from exc
 
 
-def _check_tol(tol: float) -> None:
-    """A check's --tol: finite and non-negative, so the verdict and the JSON
-    report stay meaningful."""
+def _check_tol(tol: float, flag: str = "--tol") -> None:
+    """A check's --tol (or other bound ``flag``): finite and non-negative, so
+    the verdict and the JSON report stay meaningful."""
     if not (np.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"--tol must be finite and non-negative, got {tol}")
+        raise ConfigError(f"{flag} must be finite and non-negative, got {tol}")
 
 
 def _load_candidate(args) -> CandidateSolution:
@@ -479,6 +479,10 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--h-list spacings must be finite and positive, got {args.h_list!r}")
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
         raise ConfigError("--h-list must be strictly decreasing")
+    _check_tol(args.ratio_lo, "--ratio-lo")
+    _check_tol(args.ratio_hi, "--ratio-hi")
+    if args.ratio_lo > args.ratio_hi:
+        raise ConfigError(f"--ratio-lo {args.ratio_lo} exceeds --ratio-hi {args.ratio_hi}")
     rows = []
     for h in h_values:
         m = int(round((span[1] - span[0]) / h)) + 1

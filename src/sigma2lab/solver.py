@@ -45,15 +45,17 @@ costs a few FFTs instead of a factorisation.
 A calibrated root starts Newton only inside the true ellipticity cone,
 u_tt > 0 and sigma2_tilde > 0 at every node; u_tt > 0 alone leaves the
 linearisation indefinite where sigma2_tilde <= 0.  When no root qualifies
-(the exponential data, say), the start is built on the coarsest level of
-the ladder by a boundary-amplitude homotopy, then carried up the ladder one
-Newton solve per level.  The homotopy enters from a family member with
-u_tt > 0: u_tt of u_harmonic + c*w is affine in c at every node, so the c
-with u_tt > 0 everywhere form one interval, read off in closed form.
-Each level's solution reaches the next, finer one through the tensor-product
-not-a-knot cubic spline read off at the finer nodes, one small dense matrix
-per axis (``_spline_eval``); the coarse levels' boundary data is the fine
-data read off the same way.
+(the exponential data, say), the start is built by nested iteration
+(Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001, §5.3): one Newton
+solve per level of the ladder below the fine one, each started from the
+coarser level's solution.  The coarsest level starts from a family member
+with u_tt > 0, its cone entry: u_tt of u_harmonic + c*w is affine in c at
+every node, so the c with u_tt > 0 everywhere form one interval, read off in
+closed form.  Each level's solution reaches the next, finer one through the
+tensor-product not-a-knot cubic spline read off at the finer nodes, one
+small dense matrix per axis (``_spline_eval``); the coarse levels' boundary
+data is the fine data read off the same way.  A level where that
+prolongation breaks u_tt > 0 starts from its own cone entry instead.
 """
 
 from __future__ import annotations
@@ -469,15 +471,15 @@ def _calibrated_family(problem: DirichletProblem):
     grid = problem.grid
     h = grid.spacing
     bvals = _boundary_only(problem)
-    harm_int = _dirichlet_poisson(grid, -laplacian(bvals, h))
     w_int = _dirichlet_poisson(grid, np.ones(grid.interior_shape))
-    harm = _interior_embed(grid, bvals, harm_int)
     w = _interior_embed(grid, np.zeros(grid.shape), w_int)
 
     def mean_residual(c: float) -> float:
         return float(np.mean(sigma2_interior(harm + c * w, h)) - 1.0)
 
+    # huge data overflows from the Laplacian on; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        harm = _interior_embed(grid, bvals, _dirichlet_poisson(grid, -laplacian(bvals, h)))
         f0, fp, fm = mean_residual(0.0), mean_residual(1.0), mean_residual(-1.0)
         a2 = 0.5 * (fp + fm - 2.0 * f0)  # exact: the operator is quadratic in u
         a1 = 0.5 * (fp - fm)
@@ -509,10 +511,11 @@ def _calibrated_start(grid: Grid, family) -> ScalarField | None:
 
 
 def _cone_entry(grid: Grid, family) -> ScalarField:
-    """The family member that seeds the amplitude homotopy, with u_tt > 0 but
-    perhaps not sigma2_tilde > 0: the root inside the u_tt cone with the
-    largest margin, else the cone endpoint nearest a root moved inward by
-    1e-3 (1 + |endpoint|) or half the cone, whichever is less."""
+    """The family member that starts Newton on a ladder level with no usable
+    coarser solution, with u_tt > 0 but perhaps not sigma2_tilde > 0: the
+    root inside the u_tt cone with the largest margin, else the cone endpoint
+    nearest a root moved inward by 1e-3 (1 + |endpoint|) or half the cone,
+    whichever is less."""
     harm, w, roots, (lo, hi) = family
     if not lo < hi:
         raise EllipticityLost("auto initialization cannot reach u_tt > 0 for this data")
@@ -600,35 +603,15 @@ def _resample(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(vals)
 
 
-def _amplitude_homotopy(problem: DirichletProblem, entry: ScalarField) -> ScalarField:
-    """Solve with boundary data scaled to lam*b for lam doubling up to 1.
-
-    The operator is homogeneous of degree 2 in u, so scaling u by lam scales
-    the operator by lam^2; starting from the elliptic entry field scaled to
-    unit mean operator value, each amplitude level warm-starts from the last.
-    """
-    grid = problem.grid
-    bvals = _boundary_only(problem)
-    s = float(np.mean(sigma2_interior(entry.values, grid.spacing)))
-    lam = 1.0 / np.sqrt(s) if s > 1.0 else 1.0
-    u = entry.values * lam
-    while True:
-        data = ScalarField(grid, lam * bvals)
-        rep = newton_solve(DirichletProblem(grid, data), init=ScalarField(grid, u), max_iter=80)
-        if lam >= 1.0:
-            return rep.solution
-        lam_next = min(1.0, 2.0 * lam)
-        u = rep.solution.values * (lam_next / lam)
-        lam = lam_next
-
-
 def _auto_init(problem: DirichletProblem) -> ScalarField:
     """Starting field for Newton: the calibrated Laplace field if it lies in
-    the ellipticity cone, else a coarse-grid amplitude homotopy carried up the
-    ladder, one Newton solve per level, redoing the homotopy on any level
-    where the prolongation seam breaks u_tt > 0.  A coarse level's boundary
-    data is the fine data read off at its nodes by the spline within each
-    face: exact subsampling on nested axes."""
+    the ellipticity cone, else nested iteration up the ladder.  Each level
+    below the fine one gets one Newton solve, started from the prolonged
+    coarser solution if that keeps u_tt > 0, else from the level's cone
+    entry (always so on the coarsest level).  The fine level takes the
+    prolonged field as it is, or solves from its cone entry if the seam broke
+    there.  A coarse level's boundary data is the fine data read off at its
+    nodes by the spline within each face: exact subsampling on nested axes."""
     grid = problem.grid
     family = _calibrated_family(problem)
     start = _calibrated_start(grid, family)
@@ -648,12 +631,12 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
             vals[mask] = level.boundary.values[mask]
         if u is None or _min_u11(vals, g.spacing) <= 0.0:
             # the coarsest level, or a prolongation seam that broke the cone
-            level_family = family if shape == grid.shape else _calibrated_family(level)
-            u = _amplitude_homotopy(level, _cone_entry(g, level_family))
+            start = _cone_entry(g, family if shape == grid.shape else _calibrated_family(level))
         elif shape == grid.shape:
             return ScalarField(g, vals)
         else:
-            u = newton_solve(level, init=ScalarField(g, vals), max_iter=80).solution
+            start = ScalarField(g, vals)
+        u = newton_solve(level, init=start, max_iter=80).solution
     return u
 
 
@@ -675,6 +658,10 @@ def newton_solve(
         tol = problem.default_tol()
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"Newton tolerance must be finite and positive, got {tol}")
+    if max_iter < 0 or line_search_max < 0:
+        raise ConfigError(
+            f"iteration limits must be >= 0, got max_iter={max_iter}, line_search_max={line_search_max}"
+        )
     if isinstance(init, str):
         if init != "auto":
             raise ConfigError(f"init must be a ScalarField or 'auto', got {init!r}")

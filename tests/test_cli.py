@@ -389,6 +389,18 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         ["classify", "--candidate", "quadratic", "--tol", "nan"],
         ["classify", "--candidate", "counterexample", "--tol", "nan"],
         ["classify", "--candidate", "counterexample", "--tol=-inf"],
+        [*_SOLVE_9, "--max-iter=-1"],
+        # NaN or inf ratio bounds once reached report.json, which then was not valid JSON
+        ["convergence", "--candidate", "quadratic", "--ratio-lo", "nan"],
+        ["convergence", "--candidate", "quadratic", "--ratio-hi", "inf"],
+        ["convergence", "--candidate", "quadratic", "--ratio-lo=-1"],
+        ["convergence", "--candidate", "quadratic", "--ratio-lo", "5", "--ratio-hi", "3"],
+        # numpy overflow warnings must not reach stderr ahead of the message:
+        # the eps bump overflows the auto start's Laplacian and sine transforms,
+        ["rigidity", "--candidate", "quadratic", "--sizes", "1,2", "--eps=-1e308"],
+        # sigma2_tilde(A) overflows to inf, or to inf - inf = NaN, which once passed
+        ["solve", "--candidate", "quadratic", "--A", "1e200,0,0;0,1e200,0;0,0,1e200", "--grid", "3,-1..1,9"],
+        ["solve", "--candidate", "quadratic", "--A", "1e200,1e200,0;1e200,1e200,0;0,0,1e200", "--grid", "3,-1..1,9"],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -398,10 +410,20 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "z-count-negative", "z-count-0", "z-count-4",
         "verify-tol-nan", "curvature-tol-negative", "legendre-tol-inf",
         "classify-quadratic-tol-nan", "classify-exponential-tol-nan", "classify-tol-minus-inf",
+        "solve-max-iter-negative",
+        "ratio-lo-nan", "ratio-hi-inf", "ratio-lo-negative", "ratio-lo-above-hi",
+        "rigidity-eps-huge", "quadratic-A-overflow", "quadratic-A-nan",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
     _assert_config_error(_run_module(*argv))
+
+
+def test_zero_max_iter_stays_a_solver_failure():
+    # a negative --max-iter is a config error (see above); zero is a valid limit
+    proc = _run_module(*_SOLVE_9, "--max-iter", "0")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver failure: MaxIterExceeded: no convergence after 0 Newton iterations")
 
 
 def test_unbounded_quadratic_sublevel_set_is_a_config_error():

@@ -468,7 +468,7 @@ def test_u_tt_cone_of_exponential_levels_matches_a_brute_scan(m, lo_want):
         DirichletProblem.from_candidate(g, Counterexample(0.25))
     )
     assert lo == pytest.approx(lo_want, abs=1e-4) and hi == np.inf
-    assert not any(lo < r for r in roots)  # no calibrated root is elliptic: the homotopy runs
+    assert not any(lo < r for r in roots)  # no calibrated root is elliptic: the ladder runs
     margin = [solver._min_u11(harm + c * w, g.spacing) for c in lo + np.linspace(-1.0, 1.0, 201)]
     assert max(margin[:100]) <= 0.0 and min(margin[101:]) > 0.0
     step = 1e-7 * (1.0 + lo)
@@ -488,7 +488,7 @@ def test_start_test_rejects_a_calibrated_root_outside_the_sigma2_cone():
     assert solver._min_u11(harm + c * w, g.spacing) > 0.0
     assert int((sigma2_interior(harm + c * w, g.spacing) <= 0.0).sum()) == 37
     assert solver._calibrated_start(g, family) is None
-    # the root still seeds the homotopy: it lies inside the u_tt cone
+    # the root is still the cone entry: it lies inside the u_tt cone
     np.testing.assert_array_equal(solver._cone_entry(g, family).values, harm + c * w)
 
 
@@ -507,14 +507,14 @@ def test_empty_u_tt_cone_raises_ellipticity_lost(monkeypatch, capsys):
     assert "solver failure: EllipticityLost" in capsys.readouterr().err
 
 
-def test_seam_redo_reruns_the_homotopy_and_still_converges(monkeypatch):
+def test_seam_redo_restarts_from_the_cone_entry_and_still_converges(monkeypatch):
     # 25^3 climbs 7^3 -> 13^3 -> 25^3; a dent at one node of the 13^3
-    # prolongation breaks u_tt there, so that level redoes the homotopy
+    # prolongation breaks u_tt there, so that level restarts from its cone entry
     g = cube(-1.0, 1.0, 25)
     problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
     clean = newton_solve(problem)
-    prolong, homotopy, newton = solver._prolong, solver._amplitude_homotopy, solver.newton_solve
-    dented, homotopies, solves = [], [], []
+    prolong, cone_entry, newton = solver._prolong, solver._cone_entry, solver.newton_solve
+    dented, entries, solves = [], [], []
 
     def dent(coarse, fine_grid):
         vals = prolong(coarse, fine_grid)
@@ -530,16 +530,37 @@ def test_seam_redo_reruns_the_homotopy_and_still_converges(monkeypatch):
 
     monkeypatch.setattr(solver, "_prolong", dent)
     monkeypatch.setattr(
-        solver, "_amplitude_homotopy", lambda p, e: homotopies.append(p.grid.shape) or homotopy(p, e)
+        solver, "_cone_entry", lambda g, family: entries.append(g.shape) or cone_entry(g, family)
     )
     monkeypatch.setattr(solver, "newton_solve", recorded_newton)
     rep = solver.newton_solve(problem)
-    assert dented == [(13, 13, 13)] and homotopies == [(7, 7, 7), (13, 13, 13)]
+    assert dented == [(13, 13, 13)] and entries == [(7, 7, 7), (13, 13, 13)]
     assert rep.converged
-    # no Newton call re-solves a converged homotopy result
+    # no Newton call re-solves a converged level
     assert all(iters > 0 for iters in solves)
     gap = np.abs(rep.solution.values - clean.solution.values).max()
     assert gap <= 10 * problem.default_tol()
+
+
+@pytest.mark.parametrize("dim, m", [(3, 21), (2, 33)], ids=["cube21", "plane33"])
+def test_auto_start_solves_once_per_ladder_level(dim, m, monkeypatch):
+    # nested iteration: the coarsest level starts from its cone entry, each
+    # finer one from the prolonged coarser solution; in 2D the data is the
+    # exponential solution's trace on the plane y = 0
+    problem = DirichletProblem.from_callable(
+        cube(-1.0, 1.0, m, dim), lambda t, *x: sum(v**2 for v in x) * np.exp(t) + np.exp(-t) / 4
+    )
+    newton, solved = solver.newton_solve, []
+
+    def recorded_newton(p, *args, **kwargs):
+        rep = newton(p, *args, **kwargs)
+        solved.append(p.grid.shape)  # on return: the fine solve, which calls the rest, comes last
+        return rep
+
+    monkeypatch.setattr(solver, "newton_solve", recorded_newton)
+    assert solver._calibrated_start(problem.grid, solver._calibrated_family(problem)) is None
+    assert solver.newton_solve(problem).converged
+    assert solved == solver._coarsen_levels(problem.grid.shape)
 
 
 # ---------------------------------------------------------------------------
