@@ -19,7 +19,6 @@ from .candidates import Quadratic
 from .core_ops import (
     Grid,
     ScalarField,
-    fd_hessian,
     laplacian,
     mesh_points,
     second_diff,
@@ -98,16 +97,16 @@ class EllipsoidMap:
         return EllipsoidMap(s * self.M, self.center)
 
 
-def _gradient(candidate, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of ``candidate`` at the single point ``x``."""
-    return np.array([candidate.eval_many(x[None], e)[0] for e in np.eye(x.size, dtype=int)])
+def _gradient(candidate, pts: np.ndarray) -> np.ndarray:
+    """Exact gradients of ``candidate`` at the rows of ``pts``, shape (N, dim)."""
+    return np.column_stack([candidate.eval_many(pts, e) for e in np.eye(pts.shape[1], dtype=int)])
 
 
 def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
     """Damped Newton on the gradient, tolerance 1e-10 on its sup-norm."""
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(100):
-        g = _gradient(candidate, x)
+        g = _gradient(candidate, x[None])[0]
         if np.abs(g).max() <= 1e-10:
             return x
         H = candidate.hessian_many(x[None])[0]
@@ -119,13 +118,13 @@ def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
         gn = np.linalg.norm(g)
         for _ in range(40):
             trial = x + alpha * step
-            if np.linalg.norm(_gradient(candidate, trial)) < gn:
+            if np.linalg.norm(_gradient(candidate, trial[None])[0]) < gn:
                 x = trial
                 break
             alpha *= 0.5
         else:
             raise NoInteriorPoint("minimizer search stalled; no descent step found")
-    g = _gradient(candidate, x)
+    g = _gradient(candidate, x[None])[0]
     if np.abs(g).max() > 1e-8:
         raise NoInteriorPoint(
             f"minimizer search did not converge (|grad| = {np.abs(g).max():.3e})"
@@ -133,29 +132,20 @@ def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-# machine-level bracket tolerance (scipy brentq's xtol and rtol): the barrier
-# value is quartic in 1/intercept, so a sloppy crossing inflates sigma2(M^2)
-# errors past the check's 1e-12 slack
-_CROSSING_XTOL = 1e-15
-_CROSSING_RTOL = 8.9e-16
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-
-
-def _axis_crossings(value, xstar: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
+def _axis_crossings(value, gradient, xstar: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
     """Smallest s > 0 with value(xstar + s e) = h for a convex profile, for
     every row e of ``dirs`` (+e_0, -e_0, +e_1, -e_1, ...) at once.
 
-    A doubling search brackets every crossing in [0, 2^k], then bisection
-    halves all brackets together until each is narrower than
-    xtol + rtol * s.  The answer is the root of the chord through the last
-    bracket wider than sqrt(eps) * s, clipped to the final bracket: the
-    chord's curvature error is O(eps * s), and its end values lie far enough
-    apart that their rounding cannot decide which end of the final bracket
-    is nearer the crossing.
+    A doubling search brackets every crossing in [0, 2^k]; ``_bracketed_roots``
+    then solves them together, with slope e . gradient(xstar + s e), where
+    ``gradient`` maps points to the gradient of ``value``.
     """
 
+    def points(s: np.ndarray) -> np.ndarray:
+        return xstar + s[:, None] * dirs
+
     def f(s: np.ndarray) -> np.ndarray:
-        return value(xstar + s[:, None] * dirs) - h
+        return value(points(s)) - h
 
     hi = np.ones(dirs.shape[0])
     for _ in range(80):
@@ -169,23 +159,9 @@ def _axis_crossings(value, xstar: np.ndarray, dirs: np.ndarray, h: float) -> np.
             f"sublevel set appears unbounded along axis {k // 2} ({'+-'[k % 2]}); "
             "no crossing below u = h"
         )
-    lo = np.zeros_like(hi)
-    f_lo = f(lo)
-    chord = (lo, hi, f_lo, f_hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = hi - lo > _CROSSING_XTOL + _CROSSING_RTOL * mid
-        if not open_.any():
-            break
-        f_mid = f(mid)
-        above = open_ & (f_mid > 0.0)
-        below = open_ & ~above
-        hi, f_hi = np.where(above, mid, hi), np.where(above, f_mid, f_hi)
-        lo, f_lo = np.where(below, mid, lo), np.where(below, f_mid, f_lo)
-        wide = hi - lo > _SQRT_EPS * hi
-        chord = tuple(np.where(wide, new, old) for new, old in zip((lo, hi, f_lo, f_hi), chord))
-    c_lo, c_hi, fc_lo, fc_hi = chord
-    return np.clip(c_lo - fc_lo * (c_hi - c_lo) / (fc_hi - fc_lo), lo, hi)
+    return _bracketed_roots(
+        f, lambda s: (gradient(points(s)) * dirs).sum(axis=1), np.zeros_like(hi), hi
+    )
 
 
 @dataclass
@@ -210,6 +186,8 @@ class SublevelSet:
 
     @classmethod
     def from_candidate(cls, candidate, h: float, convexity_box: float = 2.0) -> "SublevelSet":
+        if not np.isfinite(h):
+            raise ConfigError(f"level h must be finite, got {h}")
         if h <= 0.0:
             raise NoInteriorPoint(f"level h = {h} admits no interior point (min u = 0)")
         dim = candidate.dim
@@ -222,56 +200,16 @@ class SublevelSet:
             )
         xstar = _minimize_candidate(candidate, np.zeros(dim))
         u0 = candidate.eval_many(xstar[None])[0]
-        g0 = _gradient(candidate, xstar)
+        g0 = _gradient(candidate, xstar[None])[0]
 
         def value(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
             return candidate.eval_many(pts) - u0 - (pts - xstar) @ g0
 
-        return cls._from_value(
-            value, xstar, h, candidate.A if isinstance(candidate, Quadratic) else None
-        )
-
-    @classmethod
-    def from_field(cls, fld: ScalarField, h: float) -> "SublevelSet":
-        if h <= 0.0:
-            raise NoInteriorPoint(f"level h = {h} admits no interior point (min u = 0)")
-        grid = fld.grid
-        idx_min = np.unravel_index(np.argmin(fld.values), grid.shape)
-        if any(i == 0 or i == m - 1 for i, m in zip(idx_min, grid.shape)):
-            raise NoInteriorPoint("discrete minimizer sits on the boundary of the grid")
-        eigs = np.linalg.eigvalsh(fd_hessian(fld, idx_min))
-        if eigs.min() < -1e-8:
-            raise NotConvex(
-                f"fd Hessian eigenvalue {eigs.min():.3e} < 0 at the discrete minimizer"
-            )
-        axes = grid.axes()
-        xstar = np.array([ax[i] for ax, i in zip(axes, idx_min)])
-        vals = fld.values - fld.values[idx_min]
-        # imported here, so that candidate-only callers never load scipy
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(axes, vals, method="linear", bounds_error=True)
-
-        def value(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            out = np.full(pts.shape[0], np.inf)
-            inside = np.all(
-                (pts >= [b[0] for b in grid.bounds]) & (pts <= [b[1] for b in grid.bounds]),
-                axis=1,
-            )
-            if inside.any():
-                out[inside] = interp(pts[inside])
-            return out
-
-        return cls._from_value(value, xstar, h)
-
-    @classmethod
-    def _from_value(cls, value, xstar: np.ndarray, h: float, hessian=None) -> "SublevelSet":
-        """The set {value <= h} around its minimizer ``xstar``, by axis crossings."""
-        dim = xstar.size
         dirs = np.kron(np.eye(dim), [[1.0], [-1.0]])
-        crossings = _axis_crossings(value, xstar, dirs, h)
+        crossings = _axis_crossings(
+            value, lambda pts: _gradient(candidate, pts) - g0, xstar, dirs, h
+        )
         return cls(
             h=float(h),
             dim=dim,
@@ -279,7 +217,7 @@ class SublevelSet:
             intercepts=crossings.reshape(dim, 2).min(axis=1),
             boundary_samples=xstar + crossings[:, None] * dirs,
             value=value,
-            hessian=hessian,
+            hessian=candidate.A if isinstance(candidate, Quadratic) else None,
         )
 
 
@@ -421,7 +359,7 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
 
 
 # Newton steps are taken while they stay in the bracket and make progress;
-# after _NEWTON_ITERATIONS the nodes still open only bisect, so no node costs
+# after _NEWTON_ITERATIONS the roots still open only bisect, so no root costs
 # more than twice the 60 halvings of plain bisection.
 _NEWTON_ITERATIONS = 60
 _BISECTIONS = 60
@@ -429,38 +367,34 @@ _ROOT_RTOL = 1e-14
 _ROOT_BLOCK = 1 << 15
 
 
-def _legendre_roots(cand, pts: np.ndarray, zz: np.ndarray, t_span) -> np.ndarray:
-    """Safeguarded Newton for u_t(t, x) = z at every row of ``pts`` (t column
-    overwritten), then one Newton polish.
+def _bracketed_roots(f, df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton for f(t) = 0 on every bracket [lo, hi] at once,
+    then one Newton polish; f is increasing, f(lo) <= 0 < f(hi), and ``f``
+    and ``df`` (its derivative) map an array of t to an array of the same
+    size.
 
-    Each node keeps a bracket [lo, hi] from the sign of f = u_t - z.  The
-    Newton step t - f/u_tt is taken when it lands in the closed bracket and
-    either the bracket or the Newton update has at least halved over the
-    last two iterations; otherwise (or when the step is not finite) the node
+    Each root keeps its bracket from the sign of f.  The Newton step
+    t - f/df is taken when it lands in the closed bracket and either the
+    bracket or the Newton update has at least halved over the last two
+    iterations; otherwise (or when the step is not finite) the root
     bisects.  The test on the update keeps one-sided Newton convergence,
     where the far end of the bracket never moves, from being interrupted.
-    A node is done once its update is at most 1e-14 * max(1, |t|); done
-    nodes keep their value, so rounding noise in f cannot move them again.
+    A root is done once its update is at most 1e-14 * max(1, |t|); done
+    roots keep their value, so rounding noise in f cannot move them again.
     """
-    dim = pts.shape[1]
-    d1 = (1,) + (0,) * (dim - 1)
-    d2 = (2,) + (0,) * (dim - 1)
-    lo = np.full(zz.size, float(t_span[0]))
-    hi = np.full(zz.size, float(t_span[1]))
     t = 0.5 * (lo + hi)
-    done = np.zeros(zz.size, dtype=bool)
+    done = np.zeros(t.size, dtype=bool)
     width = [hi - lo, hi - lo]  # bracket widths two and one iterations ago
-    update = [np.full(zz.size, np.inf)] * 2
+    update = [np.full(t.size, np.inf)] * 2
     for it in range(_NEWTON_ITERATIONS + _BISECTIONS):
-        pts[:, 0] = t
-        f = cand.eval_many(pts, d1) - zz
-        above = f > 0.0
+        f_t = f(t)
+        above = f_t > 0.0
         hi = np.where(above, t, hi)
         lo = np.where(above, lo, t)
         t_next = 0.5 * (lo + hi)
         if it < _NEWTON_ITERATIONS:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = t - f / cand.eval_many(pts, d2)
+                step = t - f_t / df(t)
             # non-strict: a converged step equals the bracket end it came from
             newton = (step >= lo) & (step <= hi)
             newton &= (hi - lo <= 0.5 * width[0]) | (np.abs(step - t) <= 0.5 * update[0])
@@ -473,8 +407,26 @@ def _legendre_roots(cand, pts: np.ndarray, zz: np.ndarray, t_span) -> np.ndarray
         done |= change <= _ROOT_RTOL * np.maximum(1.0, np.abs(t))
         if done.all():
             break
-    pts[:, 0] = t
-    return t - (cand.eval_many(pts, d1) - zz) / cand.eval_many(pts, d2)
+    return t - f(t) / df(t)
+
+
+def _legendre_roots(cand, pts: np.ndarray, zz: np.ndarray, t_span) -> np.ndarray:
+    """The t with u_t(t, x) = z at every row of ``pts`` (t column
+    overwritten) and entry of ``zz``, by ``_bracketed_roots`` on [t_span]."""
+    dim = pts.shape[1]
+    d1 = (1,) + (0,) * (dim - 1)
+    d2 = (2,) + (0,) * (dim - 1)
+
+    def at(t: np.ndarray) -> np.ndarray:
+        pts[:, 0] = t
+        return pts
+
+    return _bracketed_roots(
+        lambda t: cand.eval_many(at(t), d1) - zz,
+        lambda t: cand.eval_many(at(t), d2),
+        np.full(zz.size, float(t_span[0])),
+        np.full(zz.size, float(t_span[1])),
+    )
 
 
 def partial_legendre(

@@ -41,10 +41,12 @@ from .errors import ConfigError, SolverError
 
 def _parse_span(text: str) -> tuple[float, float]:
     try:
-        lo, hi = text.split("..")
-        return float(lo), float(hi)
+        lo, hi = (float(v) for v in text.split(".."))
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}, expected 'lo..hi'") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigError(f"bad range {text!r}, expected finite bounds lo < hi")
+    return lo, hi
 
 
 def _parse_grid(spec: str) -> Grid:

@@ -13,8 +13,8 @@ its derivative at H is contraction with the matrix returned by
 
 All finite differences are second-order central stencils on uniform grids,
 read from one table: ``hessian_stencil`` gives the legs and divisor of each
-Hessian entry, and ``hessian_entry``, ``second_diff``, ``fd_hessian`` and the
-solver's Jacobian all derive from it.  ``laplacian``, ``hessian_parts`` and
+Hessian entry, and ``hessian_entry``, ``second_diff`` and the solver's
+Jacobian all derive from it.  ``laplacian``, ``hessian_parts`` and
 ``sigma2_interior`` are the whole-box combinations that the solver and the
 analysis probes share.
 Fields are serialized as a JSON header plus a raw little-endian float64
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundaryNode, ConfigError
+from .errors import ConfigError
 
 __all__ = [
     "Grid",
@@ -38,7 +38,6 @@ __all__ = [
     "ScalarField",
     "sigma2_tilde",
     "sigma2_linearization",
-    "fd_hessian",
     "shifted",
     "hessian_stencil",
     "hessian_entry",
@@ -113,9 +112,6 @@ class Grid:
         return np.array(
             [lo + i * h for (lo, _), i, h in zip(self.bounds, node, self.spacing)]
         )
-
-    def is_interior(self, node: tuple[int, ...]) -> bool:
-        return all(0 < i < m - 1 for i, m in zip(node, self.shape))
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
@@ -242,28 +238,6 @@ def sigma2_linearization(H) -> np.ndarray:
         c[i, i] = a[0, 0]
         c[0, i] = c[i, 0] = -a[0, i]
     return c
-
-
-def _require_interior(field: ScalarField, node: tuple[int, ...]) -> None:
-    if len(node) != field.grid.dim:
-        raise ConfigError(f"node {node} has wrong length for a {field.grid.dim}-d grid")
-    if not all(0 <= i < m for i, m in zip(node, field.grid.shape)):
-        raise ConfigError(f"node {node} is outside the grid")
-    if not field.grid.is_interior(node):
-        raise BoundaryNode(f"node {node} is on the boundary")
-
-
-def fd_hessian(field: ScalarField, node: tuple[int, ...]) -> np.ndarray:
-    """Central-difference Hessian at an interior node (exact on quadratics):
-    every ``hessian_entry`` over the node's 3^d block."""
-    _require_interior(field, node)
-    block = field.values[tuple(slice(i - 1, i + 2) for i in node)]
-    n = field.grid.dim
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            out[a, b] = out[b, a] = hessian_entry(block, a, b, field.grid.spacing).item()
-    return out
 
 
 def shifted(values: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:

@@ -17,10 +17,6 @@ class ConfigError(Sigma2LabError):
     """Invalid argument, violated invariant, or unmet precondition."""
 
 
-class BoundaryNode(ConfigError):
-    """A finite-difference stencil was requested at a boundary node."""
-
-
 class UnsupportedOrder(ConfigError):
     """A derivative of total order above the supported maximum was requested."""
 

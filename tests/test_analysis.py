@@ -7,6 +7,7 @@ from sigma2lab.analysis import (
     EllipsoidMap,
     SublevelSet,
     _axis_crossings,
+    _gradient,
     _legendre_roots,
     barrier_check,
     harmonicity_test,
@@ -84,30 +85,14 @@ def test_sublevel_set_rejections():
         SublevelSet.from_candidate(Quadratic.standard(3), h=-2.0)
 
 
-def test_sublevel_set_from_field_matches_candidate():
-    q = Quadratic.standard(3)
-    g = Grid(((-2.0, 2.0),) * 3, (41, 41, 41))
-    K = SublevelSet.from_field(ScalarField.sample(g, q), h=0.5)
-    exact = SublevelSet.from_candidate(q, h=0.5)
-    np.testing.assert_allclose(K.minimizer, exact.minimizer, atol=1e-8)
-    np.testing.assert_allclose(K.intercepts, exact.intercepts, atol=5e-3)
-
-
-def test_sublevel_set_from_field_needs_interior_minimum():
-    g = Grid(((0.5, 2.0),) * 2, (9, 9))
-    tilted = ScalarField.from_callable(g, lambda t, x: t + x)  # min at a corner
-    with pytest.raises(NoInteriorPoint):
-        SublevelSet.from_field(tilted, h=1.0)
-
-
 def _rotation(rng, dim=3):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
 
 
 def _brentq_crossings(K):
-    """Each axis crossing of K by its own scipy brentq solve, at the
-    tolerances the batched solve keeps (xtol 1e-15, rtol 8.9e-16)."""
+    """Each axis crossing of K by its own scipy brentq solve, at machine
+    tolerances (xtol 1e-15, rtol 8.9e-16)."""
     from scipy.optimize import brentq
 
     out = []
@@ -123,12 +108,13 @@ def _brentq_crossings(K):
 
 
 def test_batched_axis_crossings_match_brentq():
-    """Both solves bracket the same root to within xtol + rtol * s, so with
-    every crossing s >= 1 they agree to 2 (1e-15 + 8.9e-16) < 4e-15
-    relative.  The quadratics have min u = 0, so rounding in value itself
-    stays below that."""
+    """brentq brackets each root to within xtol + rtol * s, and the Newton
+    solve ends on a polish step at rounding level, so with every crossing
+    s >= 1 they agree to 2 (1e-15 + 8.9e-16) < 4e-15 relative.  The
+    quadratics have min u = 0, so rounding in value itself stays below
+    that."""
     rng = np.random.default_rng(71)
-    sets = []
+    cases = []
     for _ in range(20):
         R = _rotation(rng)
         A0 = R @ np.diag(rng.uniform(0.3, 3.0, 3)) @ R.T
@@ -136,20 +122,49 @@ def test_batched_axis_crossings_match_brentq():
         A = A0 / np.sqrt(sigma2_tilde(A0))
         b = 0.3 * rng.normal(size=3)
         q = Quadratic(A, b=b, c=0.5 * b @ np.linalg.solve(A, b))
-        sets.append(SublevelSet.from_candidate(q, rng.uniform(1.0, 5.0) * np.diag(A).max() / 2.0))
+        cases.append((q, rng.uniform(1.0, 5.0) * np.diag(A).max() / 2.0))
     for _ in range(10):
         beta = rng.uniform(-0.6, 0.6, size=2)
         he = make_he_form(float(rng.uniform(0.5, 2.0)), HarmonicPoly(2, {(1, 0): beta[0], (0, 1): beta[1]}))
-        sets.append(SublevelSet.from_candidate(he, rng.uniform(1.0, 5.0) * max(2.0 * he.a, 1.0 / he.a)))
-    g = Grid(((-2.0, 2.0),) * 3, (41, 41, 41))
-    sets.append(SublevelSet.from_field(ScalarField.sample(g, Quadratic.standard(3)), h=0.6))
-    for K in sets:
+        cases.append((he, rng.uniform(1.0, 5.0) * max(2.0 * he.a, 1.0 / he.a)))
+    for cand, h in cases:
+        K = SublevelSet.from_candidate(cand, h)
         dirs = np.kron(np.eye(K.dim), [[1.0], [-1.0]])
-        got = _axis_crossings(K.value, K.minimizer, dirs, K.h)
+        g0 = _gradient(cand, K.minimizer[None])[0]
+        got = _axis_crossings(K.value, lambda pts: _gradient(cand, pts) - g0, K.minimizer, dirs, K.h)
         ref = _brentq_crossings(K)
         assert ref.min() >= 1.0
         np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
         np.testing.assert_array_equal(K.intercepts, got.reshape(K.dim, 2).min(axis=1))
+
+
+class _CountingCandidate:
+    """Forwards to ``cand`` and counts its ``eval_many`` calls."""
+
+    def __init__(self, cand):
+        self.cand, self.calls = cand, 0
+        self.dim = cand.dim
+
+    def eval_many(self, points, index=None):
+        self.calls += 1
+        return self.cand.eval_many(points, index)
+
+    def hessian_many(self, points):
+        return self.cand.hessian_many(points)
+
+
+@pytest.mark.parametrize(
+    "cand, h",
+    [(Quadratic.standard(3), 1.0), (make_he_form(0.8, HarmonicPoly(2, {(1, 0): 0.3, (0, 1): -0.2})), 1.5)],
+    ids=["quadratic", "he_form"],
+)
+def test_sublevel_set_makes_few_candidate_evaluations(cand, h):
+    """The minimizer, the normalization and all 2 * dim crossings of one
+    set take at most 45 batched evaluations."""
+    counting = _CountingCandidate(cand)
+    K = SublevelSet.from_candidate(counting, h)
+    assert counting.calls <= 45
+    np.testing.assert_array_equal(K.intercepts, SublevelSet.from_candidate(cand, h).intercepts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import importlib.util
 import json
@@ -401,6 +402,14 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         # sigma2_tilde(A) overflows to inf, or to inf - inf = NaN, which once passed
         ["solve", "--candidate", "quadratic", "--A", "1e200,0,0;0,1e200,0;0,0,1e200", "--grid", "3,-1..1,9"],
         ["solve", "--candidate", "quadratic", "--A", "1e200,1e200,0;1e200,1e200,0;0,0,1e200", "--grid", "3,-1..1,9"],
+        # a NaN box bound once wrote a bare NaN into report.json; an infinite
+        # t-span printed RuntimeWarnings ahead of the message
+        ["verify", "--candidate", "quadratic", "--box=nan..1,0..1,0..1"],
+        ["verify", "--candidate", "quadratic", "--box=1..-1,0..1,0..1"],
+        ["legendre", "--candidate", "quadratic", "--t-span=-inf..1"],
+        # a NaN or infinite level once reached the crossing search, which blamed the set
+        ["barrier", "--candidate", "quadratic", "--level=nan"],
+        ["barrier", "--candidate", "quadratic", "--level=inf"],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -413,6 +422,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "solve-max-iter-negative",
         "ratio-lo-nan", "ratio-hi-inf", "ratio-lo-negative", "ratio-lo-above-hi",
         "rigidity-eps-huge", "quadratic-A-overflow", "quadratic-A-nan",
+        "box-nan", "box-reversed", "t-span-inf", "level-nan", "level-inf",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
@@ -465,6 +475,18 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", [])
                     if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_no_module_imports_scipy_interpolate():
+    # static, so an import inside a function that no test reaches shows too
+    imported = []
+    for path in Path(sigma2lab.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+    assert [(f, m) for f, m in imported if m.startswith("scipy.interpolate")] == []
 
 
 def test_solve_never_loads_scipy_interpolate():

@@ -7,7 +7,6 @@ import oracles
 from sigma2lab.core_ops import (
     Grid,
     ScalarField,
-    fd_hessian,
     hessian_entry,
     hessian_stencil,
     laplacian,
@@ -18,7 +17,7 @@ from sigma2lab.core_ops import (
     sigma2_tilde,
 )
 from sigma2lab.candidates import Counterexample, Quadratic
-from sigma2lab.errors import BoundaryNode, ConfigError
+from sigma2lab.errors import ConfigError
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -149,7 +148,6 @@ def test_grid_geometry():
     np.testing.assert_allclose(pts[0], [0.0, 0.0, -1.0])
     np.testing.assert_allclose(pts[-1], [1.0, 2.5, 1.0])
     np.testing.assert_allclose(g.coords((1, 2, 3)), [0.25, 1.0, 0.0])
-    assert g.is_interior((1, 1, 1)) and not g.is_interior((0, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -201,20 +199,11 @@ def _literal_cross_diff(u, a, b, ha, hb):
     ) / (4.0 * ha * hb)
 
 
-def _literal_fd_hessian(field, node):
-    u, h, n = field.values, field.grid.spacing, field.grid.dim
-    out = np.zeros((n, n))
-
-    def at(steps):
-        return u[tuple(i + steps.get(k, 0) for k, i in enumerate(node))]
-
-    for a in range(n):
-        out[a, a] = (at({a: 1}) - 2.0 * u[node] + at({a: -1})) / h[a] ** 2
-        for b in range(a + 1, n):
-            out[a, b] = out[b, a] = (
-                at({a: 1, b: 1}) - at({a: 1, b: -1}) - at({a: -1, b: 1}) + at({a: -1, b: -1})
-            ) / (4.0 * h[a] * h[b])
-    return out
+def _table_hessian(field, node):
+    """Every ``hessian_entry`` at one interior node, read off its 3^d block."""
+    block = field.values[tuple(slice(i - 1, i + 2) for i in node)]
+    n, h = field.grid.dim, field.grid.spacing
+    return np.array([[hessian_entry(block, a, b, h).item() for b in range(n)] for a in range(n)])
 
 
 STENCIL_GRIDS = [
@@ -237,9 +226,6 @@ def test_stencil_table_reproduces_the_literal_stencils_bit_for_bit(g, scale):
             want = _literal_cross_diff(u, a, b, h[a], h[b])
             np.testing.assert_array_equal(hessian_entry(u, a, b, h), want)
             np.testing.assert_array_equal(hessian_entry(u, b, a, h), _literal_cross_diff(u, b, a, h[b], h[a]))
-    for idx in np.ndindex(*g.interior_shape):
-        node = tuple(i + 1 for i in idx)
-        np.testing.assert_array_equal(fd_hessian(f, node), _literal_fd_hessian(f, node))
 
 
 def test_hessian_stencil_legs_and_divisors():
@@ -276,7 +262,7 @@ def test_sigma2_interior_matches_pointwise_operator():
     f = ScalarField(grid=g, values=rng.normal(size=g.shape))
     vals = sigma2_interior(f.values, g.spacing)
     node = (3, 2, 4)
-    H = fd_hessian(f, node)
+    H = _table_hessian(f, node)
     # sigma2_interior reads only the entries the operator needs, so agreement
     # with the full discrete Hessian route is a consistency statement
     assert vals[node[0] - 1, node[1] - 1, node[2] - 1] == pytest.approx(
@@ -297,21 +283,12 @@ def test_fd_hessian_matches_exact_hessian():
         box = tuple((c - 4 * h, c + 4 * h) for c in center)
         g = Grid(bounds=box, shape=(9, 9, 9))
         f = ScalarField.sample(g, ce)
-        return np.abs(fd_hessian(f, (4, 4, 4)) - exact).max()
+        return np.abs(_table_hessian(f, (4, 4, 4)) - exact).max()
 
     e1, e2 = err(0.02), err(0.01)
     assert e1 < 1e-3
     # one refinement should cut the error by about four (second order)
     assert 3.0 < e1 / e2 < 5.0
-
-
-def test_fd_rejects_boundary_nodes():
-    g = Grid(bounds=((-1.0, 1.0),) * 2, shape=(5, 5))
-    f = ScalarField(grid=g, values=np.zeros(g.shape))
-    with pytest.raises(BoundaryNode):
-        fd_hessian(f, (0, 2))
-    with pytest.raises(BoundaryNode):
-        fd_hessian(f, (2, 4))
 
 
 # ---------------------------------------------------------------------------
