@@ -11,6 +11,7 @@ solutions with u_tt > 0 the resulting theta(z, x) is harmonic, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,9 @@ class EllipsoidMap:
     def dim(self) -> int:
         return self.M.shape[0]
 
-    def shape_matrix(self) -> np.ndarray:
-        return self.M @ self.M
-
-    def boundary_points(self, count: int = _CONTAIN_SAMPLES, seed: int = _CONTAIN_SEED) -> np.ndarray:
+    def boundary_points(self, count: int = _CONTAIN_SAMPLES) -> np.ndarray:
         """Deterministic sample of E's boundary: x = center + M^{-1} s, |s| = 1."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_CONTAIN_SEED)
         dirs = rng.standard_normal((count, self.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return self.center + np.linalg.solve(self.M, dirs.T).T
@@ -102,13 +100,14 @@ def _gradient(candidate, pts: np.ndarray) -> np.ndarray:
     return np.column_stack([candidate.eval_many(pts, e) for e in np.eye(pts.shape[1], dtype=int)])
 
 
-def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
-    """Damped Newton on the gradient, tolerance 1e-10 on its sup-norm."""
-    x = np.asarray(x0, dtype=float).copy()
+def _minimize_candidate(candidate) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the gradient from the origin, tolerance 1e-10 on its
+    sup-norm; the minimizer and the gradient there."""
+    x = np.zeros(candidate.dim)
     for _ in range(100):
         g = _gradient(candidate, x[None])[0]
         if np.abs(g).max() <= 1e-10:
-            return x
+            return x, g
         H = candidate.hessian_many(x[None])[0]
         try:
             step = np.linalg.solve(H, -g)
@@ -129,16 +128,22 @@ def _minimize_candidate(candidate, x0: np.ndarray) -> np.ndarray:
         raise NoInteriorPoint(
             f"minimizer search did not converge (|grad| = {np.abs(g).max():.3e})"
         )
-    return x
+    return x, g
 
 
 def _axis_crossings(value, gradient, xstar: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
     """Smallest s > 0 with value(xstar + s e) = h for a convex profile, for
     every row e of ``dirs`` (+e_0, -e_0, +e_1, -e_1, ...) at once.
 
-    A doubling search brackets every crossing in [0, 2^k]; ``_bracketed_roots``
-    then solves them together, with slope e . gradient(xstar + s e), where
-    ``gradient`` maps points to the gradient of ``value``.
+    From s = 1 each direction doubles s while it stays inside K_h, or halves
+    it while it stays outside, up to the power of two p just outside.
+    ``_bracketed_roots`` then solves for s / q with slope
+    q e . gradient(xstar + s e) (``gradient`` maps points to the gradient of
+    ``value``): after doubling q = p/2 and s in [0, p]; after halving
+    q = min(1, 4p) and s in [0, q], so only crossings below 1/8 leave the
+    bracket [0, 1] that fixes the digits of all others.  Powers of two scale
+    exactly, and the stopping test 1e-14 max(1, s/q) is relative to s at
+    every scale.  A direction still inside at s = 2^1023 is unbounded.
     """
 
     def points(s: np.ndarray) -> np.ndarray:
@@ -147,20 +152,27 @@ def _axis_crossings(value, gradient, xstar: np.ndarray, dirs: np.ndarray, h: flo
     def f(s: np.ndarray) -> np.ndarray:
         return value(points(s)) - h
 
-    hi = np.ones(dirs.shape[0])
-    for _ in range(80):
-        f_hi = f(hi)
-        if np.all(f_hi > 0.0):
-            break
-        hi = np.where(f_hi > 0.0, hi, 2.0 * hi)
-    else:
-        k = int(np.argmin(f_hi > 0.0))  # the first direction still inside
-        raise ConfigError(
-            f"sublevel set appears unbounded along axis {k // 2} ({'+-'[k % 2]}); "
-            "no crossing below u = h"
-        )
-    return _bracketed_roots(
-        f, lambda s: (gradient(points(s)) * dirs).sum(axis=1), np.zeros_like(hi), hi
+    s = np.ones(dirs.shape[0])
+    grow = ~(f(s) > 0.0)  # inside at s = 1
+    searching = np.ones(s.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while searching.any():
+            trial = np.where(searching, np.where(grow, 2.0 * s, 0.5 * s), s)
+            if np.isinf(trial).any():
+                k = int(np.argmax(np.isinf(trial)))  # the first direction still inside
+                raise ConfigError(
+                    f"sublevel set appears unbounded along axis {k // 2} ({'+-'[k % 2]}); "
+                    "no crossing below u = h"
+                )
+            crossed = searching & ((f(trial) > 0.0) == grow)
+            s = np.where(searching & (grow | ~crossed), trial, s)  # ends at p
+            searching &= ~crossed
+    q = np.where(grow, 0.5 * s, np.minimum(1.0, 4.0 * s))
+    return q * _bracketed_roots(
+        lambda r: f(r * q),
+        lambda r: q * (gradient(points(r * q)) * dirs).sum(axis=1),
+        np.zeros_like(q),
+        np.where(grow, 2.0, 1.0),
     )
 
 
@@ -180,27 +192,27 @@ class SublevelSet:
     dim: int
     minimizer: np.ndarray
     intercepts: np.ndarray
-    boundary_samples: np.ndarray
     value: object  # callable (N, dim) -> (N,)
     hessian: np.ndarray | None = None
 
     @classmethod
-    def from_candidate(cls, candidate, h: float, convexity_box: float = 2.0) -> "SublevelSet":
-        if not np.isfinite(h):
-            raise ConfigError(f"level h must be finite, got {h}")
+    def from_candidate(cls, candidate, h: float) -> "SublevelSet":
         if h <= 0.0:
             raise NoInteriorPoint(f"level h = {h} admits no interior point (min u = 0)")
+        with np.errstate(over="ignore", divide="ignore"):
+            bound = 1.0 / (4.0 * np.float64(h) ** 2)
+        if not np.finfo(float).tiny <= bound < np.inf:  # also refuses a NaN or infinite h
+            raise ConfigError(f"level h = {h} is out of range: 1/(4 h^2) is not a finite normal float")
         dim = candidate.dim
-        probe = mesh_points([np.linspace(-convexity_box, convexity_box, 5)] * dim)
+        probe = mesh_points([np.linspace(-2.0, 2.0, 5)] * dim)
         eigs = np.linalg.eigvalsh(candidate.hessian_many(probe))
         if eigs.min() < -1e-8:
             raise NotConvex(
                 f"Hessian eigenvalue {eigs.min():.3e} < 0 at a probe point; "
                 "sublevel machinery requires a convex source"
             )
-        xstar = _minimize_candidate(candidate, np.zeros(dim))
+        xstar, g0 = _minimize_candidate(candidate)
         u0 = candidate.eval_many(xstar[None])[0]
-        g0 = _gradient(candidate, xstar[None])[0]
 
         def value(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
@@ -215,7 +227,6 @@ class SublevelSet:
             dim=dim,
             minimizer=xstar,
             intercepts=crossings.reshape(dim, 2).min(axis=1),
-            boundary_samples=xstar + crossings[:, None] * dirs,
             value=value,
             hessian=candidate.A if isinstance(candidate, Quadratic) else None,
         )
@@ -238,7 +249,7 @@ def inscribe_ellipsoid(K: SublevelSet, samples: int = _CONTAIN_SAMPLES) -> Ellip
         D = np.diag(K.intercepts)
         lam = float(np.linalg.eigvalsh(D @ K.hessian @ D).max())
         return seed.scaled(max(1.0, float(np.sqrt(lam / (2.0 * K.h)))))
-    tol = 1e-12 * max(1.0, abs(K.h))
+    tol = 1e-12 * K.h
 
     def contained(s: float) -> bool:
         pts = seed.scaled(s).boundary_points(samples)
@@ -264,21 +275,23 @@ def inscribe_ellipsoid(K: SublevelSet, samples: int = _CONTAIN_SAMPLES) -> Ellip
 
 
 def barrier_check(E: EllipsoidMap, h: float) -> dict:
-    """value = sigma2_tilde(M^2) against bound = 1/(4 h^2)."""
-    value = float(sigma2_tilde(E.shape_matrix()))
+    """value = sigma2_tilde(M^2) against bound = 1/(4 h^2), which it passes
+    within a relative 1e-12 (round quadratic data is the equality case)."""
+    value = float(sigma2_tilde(E.M @ E.M))
     bound = 1.0 / (4.0 * h * h)
     return {
         "value": value,
         "bound": bound,
         "margin": value - bound,
-        "pass": bool(value >= bound - 1e-12),
+        "pass": bool(value >= bound * (1.0 - 1e-12)),
     }
 
 
 def _z_axis(attained_lo: float, attained_hi: float, z_span, z_count: int):
     """The z-range and its ``z_count`` nodes inside (attained_lo, attained_hi),
     the u_t range that every x-line attains.  The default range shrinks it by
-    5% per side; a requested range must lie inside it."""
+    5% per side; a requested range must lie inside it, and its node spacing
+    must leave second differences room: 4 dz^2 a finite float."""
     if attained_hi <= attained_lo:
         raise ZOutOfRange(
             "the x-lines share no common attained range of u_t; "
@@ -292,6 +305,9 @@ def _z_axis(attained_lo: float, attained_hi: float, z_span, z_count: int):
             f"requested z-range {z_span} exceeds the attained range "
             f"({attained_lo:.6g}, {attained_hi:.6g})"
         )
+    dz = (z_span[1] - z_span[0]) / (z_count - 1)
+    if not math.isfinite(4.0 * dz * dz):
+        raise ZOutOfRange(f"z-range ({z_span[0]:.6g}, {z_span[1]:.6g}) is too wide for {z_count} nodes")
     return z_span, np.linspace(z_span[0], z_span[1], z_count)
 
 
@@ -490,9 +506,9 @@ def harmonicity_test(theta: ScalarField) -> float:
     return float(block_max.max())
 
 
-def _he_extract_candidate(cand, box, samples_per_axis):
+def _he_extract_candidate(cand, box):
     nt = cand.dim - 1
-    x_axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in box[1:]]
+    x_axes = [np.linspace(lo, hi, 17) for lo, hi in box[1:]]
     x_pts = mesh_points(x_axes)
     zero_t = np.column_stack([np.zeros(x_pts.shape[0]), x_pts])
     a = float(cand.eval_many(np.zeros((1, cand.dim)), (2,) + (0,) * nt)[0]) / 2.0
@@ -515,8 +531,8 @@ def _he_extract_candidate(cand, box, samples_per_axis):
     return {
         "a": a,
         "x_axes": [ax.tolist() for ax in x_axes],
-        "b_values": b_vals.reshape([samples_per_axis] * nt),
-        "g_values": g_vals.reshape([samples_per_axis] * nt),
+        "b_values": b_vals.reshape([ax.size for ax in x_axes]),
+        "g_values": g_vals.reshape([ax.size for ax in x_axes]),
         "lap_b_max": float(np.abs(lap_b).max()),
         "poisson_residual_max": float(np.abs(poisson).max()),
         "round_trip_max_error": round_trip,
@@ -564,23 +580,22 @@ def _he_extract_field(fld: ScalarField):
     }
 
 
-def he_reduction_report(source, box=None, samples_per_axis=17, tol=1e-8, theta=True) -> dict:
+def he_reduction_report(source, tol=1e-8) -> dict:
     """Oscillation of u_tt, verdict, extracted (a, b, g) with identity residuals,
     and the harmonicity level of the transformed theta.
 
-    u_tt is read once: exact on a 33-per-axis mesh of ``box`` (default
-    [-2, 2]^n) for a candidate, by central second differences at the interior
-    nodes for a field.  The source is of He's form u = a t^2 + t b + g, which
-    needs a = u_tt / 2 > 0, when the oscillation of u_tt is at most ``tol``
-    and its minimum is positive.
+    u_tt is read once: exact on a 33-per-axis mesh of the box [-2, 2]^n for a
+    candidate (and (a, b, g) on 17 nodes per transverse axis), by central
+    second differences at the interior nodes for a field.  The source is of
+    He's form u = a t^2 + t b + g, which needs a = u_tt / 2 > 0, when the
+    oscillation of u_tt is at most ``tol`` and its minimum is positive.
     """
     field = isinstance(source, ScalarField)
     if field:
         box = [tuple(b) for b in source.grid.bounds]
         utt = second_diff(source.values, 0, source.grid.spacing[0])
     else:
-        if box is None:
-            box = [(-2.0, 2.0)] * source.dim
+        box = [(-2.0, 2.0)] * source.dim
         probe = mesh_points([np.linspace(lo, hi, 33) for lo, hi in box])
         utt = source.eval_many(probe, (2,) + (0,) * (source.dim - 1))
     osc = float(utt.max() - utt.min())
@@ -594,29 +609,15 @@ def he_reduction_report(source, box=None, samples_per_axis=17, tol=1e-8, theta=T
         "is_he_form": bool(osc <= tol and utt.min() > 0.0),
     }
     if report["is_he_form"]:
-        if field:
-            report.update(_he_extract_field(source))
-        else:
-            report.update(_he_extract_candidate(source, box, samples_per_axis))
+        report.update(_he_extract_field(source) if field else _he_extract_candidate(source, box))
     else:
-        report.update(
-            a=None,
-            lap_b_max=None,
-            poisson_residual_max=None,
-            round_trip_max_error=None,
-        )
-    if theta:
-        try:
-            if field:
-                th = partial_legendre(source)
-            else:
-                th = partial_legendre(source, t_span=box[0], x_spans=tuple(box[1:]))
-            report["theta_harmonicity"] = harmonicity_test(th)
-            report["theta_note"] = None
-        except (NotMonotone, ZOutOfRange) as exc:
-            report["theta_harmonicity"] = None
-            report["theta_note"] = f"{type(exc).__name__}: {exc}"
-    else:
+        report.update(dict.fromkeys(["a", "lap_b_max", "poisson_residual_max", "round_trip_max_error"]))
+    try:
+        # a field's theta lives on its own grid, which is the box
+        th = partial_legendre(source, t_span=box[0], x_spans=tuple(box[1:]))
+        report["theta_harmonicity"] = harmonicity_test(th)
+        report["theta_note"] = None
+    except (NotMonotone, ZOutOfRange) as exc:
         report["theta_harmonicity"] = None
-        report["theta_note"] = "skipped"
+        report["theta_note"] = f"{type(exc).__name__}: {exc}"
     return report

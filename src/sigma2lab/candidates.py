@@ -156,9 +156,9 @@ class Poly:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
-    def is_harmonic(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, self.max_abs_coeff())
-        return self.laplacian().max_abs_coeff() <= tol * scale
+    def is_harmonic(self) -> bool:
+        """Every Laplacian coefficient is at most 1e-12 of the largest coefficient (or of 1)."""
+        return self.laplacian().max_abs_coeff() <= 1e-12 * max(1.0, self.max_abs_coeff())
 
     # -- evaluation --------------------------------------------------------
     def eval_many(self, X: np.ndarray) -> np.ndarray:
@@ -378,9 +378,6 @@ class Counterexample(CandidateSolution):
         if not (kappa > 0.0 and np.isfinite(kappa)):
             raise ConfigError(f"kappa must be positive and finite, got {kappa}")
         self.kappa = kappa
-
-    def is_solution(self) -> bool:
-        return self.kappa == 0.25
 
     @staticmethod
     def _transverse_factor(p: int, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:

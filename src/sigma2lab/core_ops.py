@@ -24,6 +24,7 @@ payload (extension pair ``.fld.json`` / ``.fld.bin``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -79,6 +80,9 @@ class Grid:
                 raise ConfigError(f"invalid axis bounds ({lo}, {hi})")
             if m < 5:
                 raise ConfigError(f"need at least 5 nodes per axis, got {m}")
+            h = (hi - lo) / (m - 1)
+            if not math.isfinite(4.0 * h * h):  # the largest stencil divisor
+                raise ConfigError(f"axis ({lo}, {hi}) with {m} nodes is too wide: 4 h^2 overflows")
 
     @property
     def dim(self) -> int:
@@ -105,13 +109,6 @@ class Grid:
     def points(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), C node order."""
         return mesh_points(self.axes())
-
-    def coords(self, node: tuple[int, ...]) -> np.ndarray:
-        if len(node) != self.dim:
-            raise ConfigError(f"node {node} has wrong length for a {self.dim}-d grid")
-        return np.array(
-            [lo + i * h for (lo, _), i, h in zip(self.bounds, node, self.spacing)]
-        )
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
@@ -146,15 +143,9 @@ class ScalarField:
         return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
 
     @classmethod
-    def sample(cls, grid: Grid, candidate, index: tuple[int, ...] | None = None) -> "ScalarField":
-        """Sample a candidate solution (or any object with ``eval_many``)."""
-        if index is None:
-            index = (0,) * grid.dim
-        vals = candidate.eval_many(grid.points(), index)
-        return cls(grid, vals.reshape(grid.shape))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+    def sample(cls, grid: Grid, candidate) -> "ScalarField":
+        """A candidate solution's (or any ``eval_many`` object's) node values."""
+        return cls(grid, candidate.eval_many(grid.points()).reshape(grid.shape))
 
     def save(self, path: str | Path) -> tuple[Path, Path]:
         """Write ``<base>.fld.json`` + ``<base>.fld.bin``; returns both paths."""

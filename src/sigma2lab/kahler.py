@@ -13,11 +13,11 @@ only in the test oracles, never here.
 
 Normalization: with this convention det(g) = sigma2_tilde(D^2 u) / 16, so a
 solution of the real equation has det(g) = 1/16; the potential 4u has
-det = 1.  ``ma_residual`` exposes both readings.  ``curvature`` returns g,
-det g, Ricci, the curvature tensor and its squared norm |Rm|^2 at many
-points from one metric evaluation.  Every reader is batched: it takes an
-(N, 4) array of points (t, s, x, y), or one point of 4 coordinates as a
-batch of one, and returns arrays whose row n belongs to point n.
+det = 1.  ``curvature`` returns g, det g, Ricci, the curvature tensor and
+its squared norm |Rm|^2 at many points from one metric evaluation.  Every
+reader is batched: it takes an (N, 4) array of points (t, s, x, y), or one
+point of 4 coordinates as a batch of one, and returns arrays whose row n
+belongs to point n.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import ConfigError, NotPositiveDefinite
 
 __all__ = [
-    "ma_residual",
     "metric_batch",
     "curvature",
 ]
@@ -130,23 +129,6 @@ def _require_pd(g: np.ndarray, points: np.ndarray) -> None:
             f"metric not positive definite at (t,s,x,y)={tuple(points[k])}: "
             f"g11={g00[k]:.6g}, det={det[k]:.6g}"
         )
-
-
-def ma_residual(potential, points, rescaled: bool = False) -> np.ndarray:
-    """det(g) - 1/16, or det - 1 for the rescaled potential 4u, at every point.
-
-    For candidates with a compensated residual path the identity
-    det(g) = sigma2_tilde(D^2 u) / 16 is used, so the result stays accurate
-    where e^|t| amplification would swamp a direct determinant.
-    """
-    data = metric_batch(potential, points)
-    _require_pd(data["g"], data["points"])
-    residual_many = getattr(potential, "residual_many", None)
-    if residual_many is not None:
-        r = residual_many(data["points"][:, [0, 2, 3]])
-        return r if rescaled else r / 16.0
-    det = _det(data["g"]).real
-    return 16.0 * det - 1.0 if rescaled else det - 1.0 / 16.0
 
 
 def _ricci_batch(data: dict[str, np.ndarray]) -> np.ndarray:

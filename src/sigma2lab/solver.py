@@ -34,8 +34,8 @@ most 6^d unknowns (216 in 3D), is inverted densely once per V-cycle set-up
 and applied as a matrix-vector product.  Every solve must reach relative
 residual 1e-10 or raise LinearSolveFailure.
 
-Initialization ("auto") solves one discrete Laplace problem with the given
-boundary data plus one Poisson problem with unit load, then picks the
+The auto start (``init=None``) solves one discrete Laplace problem with the
+given boundary data plus one Poisson problem with unit load, then picks the
 combination u_harmonic + c*w whose mean discrete operator value is 1 --
 exact root of a scalar quadratic.  For quadratic boundary data this lands on
 the discrete solution itself.  Both Dirichlet problems are diagonalised
@@ -105,6 +105,7 @@ _GMRES_RESTART = 40
 _GMRES_CYCLES = 5
 _SMOOTHING_SWEEPS = 2
 _JACOBI_WEIGHT = 0.8
+_LINE_SEARCH_HALVINGS = 30  # step halvings the Newton line search tries
 
 
 @dataclass
@@ -125,14 +126,6 @@ class DirichletProblem:
     @classmethod
     def from_candidate(cls, grid: Grid, candidate) -> "DirichletProblem":
         return cls(grid, ScalarField.sample(grid, candidate))
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "DirichletProblem":
-        return cls(grid, ScalarField.from_callable(grid, fn))
-
-    @classmethod
-    def from_field(cls, boundary: ScalarField) -> "DirichletProblem":
-        return cls(boundary.grid, boundary)
 
     def default_tol(self) -> float:
         n_int = int(np.prod(self.grid.interior_shape))
@@ -642,12 +635,12 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
 
 def newton_solve(
     problem: DirichletProblem,
-    init: ScalarField | str = "auto",
+    init: ScalarField | None = None,
     tol: float | None = None,
     max_iter: int = 50,
-    line_search_max: int = 30,
 ) -> SolveReport:
-    """Damped Newton iteration; see the module docstring for the scheme.
+    """Damped Newton iteration from ``init``, or from the auto start when it
+    is None; see the module docstring for the scheme.
 
     Raises MaxIterExceeded / EllipticityLost / LinearSolveFailure on failure
     (each carries the partial report where meaningful).
@@ -658,13 +651,9 @@ def newton_solve(
         tol = problem.default_tol()
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"Newton tolerance must be finite and positive, got {tol}")
-    if max_iter < 0 or line_search_max < 0:
-        raise ConfigError(
-            f"iteration limits must be >= 0, got max_iter={max_iter}, line_search_max={line_search_max}"
-        )
-    if isinstance(init, str):
-        if init != "auto":
-            raise ConfigError(f"init must be a ScalarField or 'auto', got {init!r}")
+    if max_iter < 0:
+        raise ConfigError(f"iteration limit must be >= 0, got max_iter={max_iter}")
+    if init is None:
         u = _auto_init(problem).values
     else:
         if init.grid != grid:
@@ -713,7 +702,7 @@ def newton_solve(
         accepted = False
         saw_elliptic_trial = False
         alpha = 1.0
-        for _ in range(line_search_max + 1):
+        for _ in range(_LINE_SEARCH_HALVINGS + 1):
             step[interior] = (alpha * delta).reshape(grid.interior_shape)
             trial = u + step
             if _min_u11(trial, h) > 0.0:
@@ -732,7 +721,7 @@ def newton_solve(
                     report(False, iters, False),
                 )
             raise MaxIterExceeded(
-                f"line search exhausted {line_search_max} halvings at iteration {iters}",
+                f"line search exhausted {_LINE_SEARCH_HALVINGS} halvings at iteration {iters}",
                 report(False, iters, False),
             )
         iters += 1

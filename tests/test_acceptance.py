@@ -353,12 +353,12 @@ def test_criterion_6_reduction_classification():
     worst_osc = 0.0
     worst_rt = 0.0
     for cand in members:
-        rep = he_reduction_report(cand, theta=False)
+        rep = he_reduction_report(cand)
         assert rep["is_he_form"], f"{cand.variant} misclassified"
         worst_osc = max(worst_osc, rep["osc_u11"])
         worst_rt = max(worst_rt, rep["round_trip_max_error"])
 
-    rep_ce = he_reduction_report(Counterexample(0.25), theta=False)
+    rep_ce = he_reduction_report(Counterexample(0.25))
     ce_ok = (not rep_ce["is_he_form"]) and rep_ce["osc_u11"] > 0.1
 
     # theta(z, x) of the exponential solution is curved, so its discrete

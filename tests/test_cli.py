@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import pkgutil
 import subprocess
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sigma2lab
 from sigma2lab.analysis import _ROOT_BLOCK
@@ -410,6 +414,11 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         # a NaN or infinite level once reached the crossing search, which blamed the set
         ["barrier", "--candidate", "quadratic", "--level=nan"],
         ["barrier", "--candidate", "quadratic", "--level=inf"],
+        # a theta grid spacing whose square overflows once raised OverflowError
+        # from the second differences: along z from the attained range of u_t,
+        # along x from the requested span
+        ["legendre", "--candidate", "counterexample", "--kappa", "1e300", "--shape", "5,5", "--z-count", "5"],
+        ["legendre", "--candidate", "quadratic", "--x-spans=-1e160..1e160,-1..1", "--shape", "5,5", "--z-count", "5"],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -423,6 +432,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "ratio-lo-nan", "ratio-hi-inf", "ratio-lo-negative", "ratio-lo-above-hi",
         "rigidity-eps-huge", "quadratic-A-overflow", "quadratic-A-nan",
         "box-nan", "box-reversed", "t-span-inf", "level-nan", "level-inf",
+        "legendre-z-spacing-overflow", "legendre-x-spacing-overflow",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
@@ -441,6 +451,50 @@ def test_unbounded_quadratic_sublevel_set_is_a_config_error():
     _assert_config_error(
         _run_module("barrier", "--candidate", "quadratic", "--A", "1,0,0;0,1,0;0,0,0", "--level", "1")
     )
+
+
+def test_classify_records_a_theta_grid_that_overflows():
+    # u_t spans about 7e300 on the probe box, too wide for a 33-node z axis;
+    # the verdict does not need theta, so the failure goes into theta_note
+    proc = _run_module("classify", "--candidate", "counterexample", "--kappa", "1e300")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert doc["verdict"] == "NOT-He-form"
+    assert doc["theta_harmonicity"] is None
+    assert doc["theta_note"].startswith("ZOutOfRange:")
+
+
+def _main_in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(st.integers(-150, 150), st.integers(-320, -160), st.integers(160, 308)).map(
+        lambda k: float(f"1e{k}")
+    )
+)
+@example(0.003)
+@example(1e-40)
+@example(1e60)
+@example(1e-300)
+def test_barrier_chain_is_scale_free(level):
+    # the round quadratic t^2/2 + |x|^2/4 is the equality case at every level;
+    # a level whose bound 1/(4 h^2) is not a finite normal float is refused
+    code, out, err = _main_in_process("barrier", "--candidate", "quadratic", f"--level={level!r}")
+    if 1e-150 <= level <= 1e150:
+        assert code == 0, err
+        doc = json.loads(out)
+        want = np.sqrt(2.0 * level / np.array([1.0, 0.5, 0.5]))
+        np.testing.assert_allclose(doc["intercepts"], want, rtol=1e-12)
+        assert abs(doc["barrier"]["value"] / doc["barrier"]["bound"] - 1.0) <= 1e-12
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_closed_form_subcommands_never_load_scipy():

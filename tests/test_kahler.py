@@ -5,7 +5,7 @@ import oracles
 from sigma2lab import kahler
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
 from sigma2lab.errors import ConfigError, NotPositiveDefinite
-from sigma2lab.kahler import curvature, ma_residual, metric_batch
+from sigma2lab.kahler import curvature, metric_batch
 
 
 def control_potential():
@@ -86,21 +86,7 @@ def test_not_positive_definite_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# Monge-Ampere residual
-
-
-def test_ma_residual_zero_for_solutions():
-    pts = [(0.0, 0.0, 1.0, 0.0), (0.5, 2.0, -1.0, 0.3), (-1.0, 0.0, 0.2, 0.9)]
-    assert ma_residual(Counterexample(), pts).shape == (3,)
-    assert np.abs(ma_residual(Counterexample(), pts)).max() <= 1e-14
-    assert np.abs(ma_residual(Counterexample(), pts, rescaled=True)).max() <= 1e-12
-    assert np.abs(ma_residual(Quadratic.standard(3), pts)).max() <= 1e-15
-
-
-def test_ma_residual_detects_off_solution():
-    # sigma2 = 4 kappa, so det g = kappa/4 and the raw defect is 3/16
-    assert ma_residual(Counterexample(kappa=1.0), CONTROL_POINT)[0] == pytest.approx(3 / 16)
-    assert ma_residual(Counterexample(kappa=1.0), CONTROL_POINT, rescaled=True)[0] == pytest.approx(3.0)
+# Monge-Ampere determinant
 
 
 def test_determinant_constant_across_the_slab():
@@ -128,6 +114,8 @@ def test_solution_family_metrics_are_flat(kappa):
     rng = np.random.default_rng(3)
     pts4 = rng.uniform(-1.5, 1.5, size=(25, 4))
     curv = curvature(Counterexample(kappa), pts4)
+    # sigma2 = 4 kappa, so det g = kappa / 4: 1/16 only for the solution
+    np.testing.assert_allclose(curv["det_g"], kappa / 4, atol=1e-12)
     assert np.abs(curv["ricci"]).max() <= 1e-10
     assert curv["riemann_norm_sq"].max() <= 1e-12
 

@@ -547,8 +547,9 @@ def test_auto_start_solves_once_per_ladder_level(dim, m, monkeypatch):
     # nested iteration: the coarsest level starts from its cone entry, each
     # finer one from the prolonged coarser solution; in 2D the data is the
     # exponential solution's trace on the plane y = 0
-    problem = DirichletProblem.from_callable(
-        cube(-1.0, 1.0, m, dim), lambda t, *x: sum(v**2 for v in x) * np.exp(t) + np.exp(-t) / 4
+    g = cube(-1.0, 1.0, m, dim)
+    problem = DirichletProblem(
+        g, ScalarField.from_callable(g, lambda t, *x: sum(v**2 for v in x) * np.exp(t) + np.exp(-t) / 4)
     )
     newton, solved = solver.newton_solve, []
 
@@ -571,7 +572,7 @@ def test_problem_constructors_agree():
     g = cube(-1.0, 1.0, 5)
     q = Quadratic.standard(3)
     a = DirichletProblem.from_candidate(g, q)
-    b = DirichletProblem.from_callable(g, lambda t, x, y: 0.5 * (t**2) + 0.25 * (x**2 + y**2))
+    b = DirichletProblem(g, ScalarField.from_callable(g, lambda t, x, y: 0.5 * (t**2) + 0.25 * (x**2 + y**2)))
     np.testing.assert_allclose(a.boundary.values, b.boundary.values, atol=1e-14)
     assert a.default_tol() == pytest.approx(1e-10 * np.sqrt(27))
 
@@ -580,10 +581,10 @@ def test_interior_values_of_boundary_field_are_ignored():
     g = cube(-1.0, 1.0, 7)
     q = Quadratic.standard(3)
     clean = ScalarField.sample(g, q)
-    noisy = clean.copy()
+    noisy = ScalarField(g, clean.values.copy())
     noisy.values[2:-2, 2:-2, 2:-2] += 37.0  # garbage strictly inside
-    ra = newton_solve(DirichletProblem.from_field(clean))
-    rb = newton_solve(DirichletProblem.from_field(noisy))
+    ra = newton_solve(DirichletProblem(g, clean))
+    rb = newton_solve(DirichletProblem(g, noisy))
     np.testing.assert_allclose(ra.solution.values, rb.solution.values, atol=1e-12)
 
 
@@ -676,7 +677,7 @@ def test_discrete_comparison_with_subsolution():
     g = cube(-1.0, 1.0, 11)
     pts = g.points()
     v = (0.8 * q.eval_many(pts) + ce.eval_many(pts)).reshape(g.shape)
-    rep = newton_solve(DirichletProblem.from_field(ScalarField(g, v)))
+    rep = newton_solve(DirichletProblem(g, ScalarField(g, v)))
     assert rep.converged
     gap = v - rep.solution.values
     h2 = g.spacing[0] ** 2
@@ -722,8 +723,6 @@ def test_init_grid_mismatch_rejected():
     other = ScalarField(cube(-1.0, 1.0, 9), np.zeros((9, 9, 9)))
     with pytest.raises(ConfigError):
         newton_solve(problem, init=other)
-    with pytest.raises(ConfigError):
-        newton_solve(problem, init="warm")
 
 
 # ---------------------------------------------------------------------------
