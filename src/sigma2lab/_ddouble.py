@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant for binary64
+# the largest magnitude whose split stays finite: _SPLITTER * a overflows above it
+SPLIT_MAX = np.finfo(float).max / _SPLITTER
 
 
 def two_sum(a, b):

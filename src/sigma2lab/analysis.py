@@ -47,6 +47,10 @@ __all__ = [
 
 _CONTAIN_SAMPLES = 1000
 _CONTAIN_SEED = 20230915
+# value = u - u0 - (x - xstar) . g0 carries rounding noise of about eps |u0|,
+# which moves an axis intercept by a relative noise / (2 h); a level must keep
+# that below this bound
+_INTERCEPT_NOISE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -213,6 +217,13 @@ class SublevelSet:
             )
         xstar, g0 = _minimize_candidate(candidate)
         u0 = candidate.eval_many(xstar[None])[0]
+        noise = np.finfo(float).eps * abs(u0)
+        floor = noise / (2.0 * _INTERCEPT_NOISE_RTOL)
+        if h < floor:
+            raise ConfigError(
+                f"level h = {h} is below the rounding floor {floor:.3g} of this candidate: "
+                f"u - min u carries noise of about eps |min u| = {noise:.3g}"
+            )
 
         def value(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
@@ -612,12 +623,18 @@ def he_reduction_report(source, tol=1e-8) -> dict:
         report.update(_he_extract_field(source) if field else _he_extract_candidate(source, box))
     else:
         report.update(dict.fromkeys(["a", "lap_b_max", "poisson_residual_max", "round_trip_max_error"]))
+    report["theta_harmonicity"] = None
+    report["theta_note"] = None
+    if field and source.grid.shape[0] < 7:
+        # a field's theta has one z node per interior t-node, and a grid needs 5
+        report["theta_note"] = (
+            f"theta needs at least 7 t-nodes (5 z nodes), the field has {source.grid.shape[0]}"
+        )
+        return report
     try:
         # a field's theta lives on its own grid, which is the box
         th = partial_legendre(source, t_span=box[0], x_spans=tuple(box[1:]))
         report["theta_harmonicity"] = harmonicity_test(th)
-        report["theta_note"] = None
     except (NotMonotone, ZOutOfRange) as exc:
-        report["theta_harmonicity"] = None
         report["theta_note"] = f"{type(exc).__name__}: {exc}"
     return report

@@ -236,6 +236,11 @@ def _check_points(points, dim: int) -> np.ndarray:
     return pts
 
 
+def _first_nonfinite(values: np.ndarray, pts: np.ndarray) -> str:
+    """The first point whose value left the double range, as "(x0, x1, ...)"."""
+    return "(" + ", ".join(repr(float(v)) for v in pts[int(np.argmin(np.isfinite(values)))]) + ")"
+
+
 def _sigma2_parts_dd(utt, diag, cross):
     """sigma2_tilde from double-double Hessian parts (utt, [u_ii], [u_ti])."""
     trace = diag[0]
@@ -285,10 +290,17 @@ class CandidateSolution:
         """
         pts = _check_points(points, self.dim)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _RESIDUAL_BLOCK):
-            block = slice(start, start + _RESIDUAL_BLOCK)
-            sigma = _sigma2_parts_dd(*self._residual_parts_dd(pts[block]))
-            out[block] = dd.dd_to_float(dd.dd_add_d(sigma, -1.0))
+        # a term past the split's range turns the pair into NaN, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, pts.shape[0], _RESIDUAL_BLOCK):
+                block = slice(start, start + _RESIDUAL_BLOCK)
+                sigma = _sigma2_parts_dd(*self._residual_parts_dd(pts[block]))
+                out[block] = dd.dd_to_float(dd.dd_add_d(sigma, -1.0))
+        if not np.isfinite(out).all():
+            raise ConfigError(
+                f"the compensated residual of {self!r} leaves the double range at the point "
+                f"{_first_nonfinite(out, pts)}: its double-double terms must stay below {dd.SPLIT_MAX:.3g}"
+            )
         return out
 
     def to_dict(self) -> dict:
@@ -395,9 +407,15 @@ class Counterexample(CandidateSolution):
     def _eval_many(self, pts: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
         k, p, q = index
         t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
-        out = self._transverse_factor(p, q, x, y) * np.exp(t)
-        if p == 0 and q == 0:
-            out = out + ((-1.0) ** k) * self.kappa * np.exp(-t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._transverse_factor(p, q, x, y) * np.exp(t)
+            if p == 0 and q == 0:
+                out = out + ((-1.0) ** k) * self.kappa * np.exp(-t)
+        if not np.isfinite(out).all():
+            raise ConfigError(
+                f"the counterexample with kappa = {self.kappa!r} leaves the double range at the point "
+                f"{_first_nonfinite(out, pts)}: e^t, kappa e^-t and their products must stay finite"
+            )
         return out
 
     def _residual_parts_dd(self, pts: np.ndarray):

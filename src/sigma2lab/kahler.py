@@ -187,20 +187,38 @@ def curvature(potential, points) -> dict[str, np.ndarray]:
     ``ricci`` (N, 2, 2), ``riemann`` (N, 2, 2, 2, 2) and ``riemann_norm_sq``
     (N,), where |Rm|^2 values in (-1e-10, 0) are rounding noise of a flat
     metric and read 0.  Raises if the metric is not positive definite at
-    any point.
+    any point, and ConfigError naming the first point where a product of the
+    metric data leaves the double range (beyond t of about 350 on the
+    exponential solution, whose g grows like e^t).
     """
     data = metric_batch(potential, points)
+    try:
+        return _curvature_of(data)
+    except FloatingPointError:
+        for k, p in enumerate(data["points"]):
+            try:
+                _curvature_of({name: arr[k : k + 1] for name, arr in data.items()})
+            except FloatingPointError:
+                raise ConfigError(
+                    f"the curvature at (t,s,x,y)={tuple(p.tolist())} leaves the double range"
+                ) from None
+        raise
+
+
+def _curvature_of(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``curvature`` from the metric data; FloatingPointError where a product overflows."""
     g = data["g"]
-    _require_pd(g, data["points"])
-    rm = _riemann_batch(data)
-    return {
-        "points": data["points"],
-        "g": g,
-        "det_g": _det(g).real,
-        "ricci": _ricci_batch(data),
-        "riemann": rm,
-        "riemann_norm_sq": _riemann_norm_sq(g, rm),
-    }
+    with np.errstate(over="raise", invalid="raise"):
+        _require_pd(g, data["points"])
+        rm = _riemann_batch(data)
+        return {
+            "points": data["points"],
+            "g": g,
+            "det_g": _det(g).real,
+            "ricci": _ricci_batch(data),
+            "riemann": rm,
+            "riemann_norm_sq": _riemann_norm_sq(g, rm),
+        }
 
 
 def _riemann_norm_sq(g: np.ndarray, rm: np.ndarray) -> np.ndarray:

@@ -165,14 +165,18 @@ def assemble_residual(u: ScalarField) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _stencil_pattern(offsets: tuple, interior_shape: tuple[int, ...]):
     """CSR ``indptr`` and ``indices`` of the interior-to-interior stencil
-    matrix with these (distinct) offsets, and ``gather``, the position of each CSR entry
-    in the flattened stack of per-offset coefficient arrays (k * n + p for
-    offset k in the row of node p).
+    matrix with these (distinct) offsets, the offsets' ``order`` by column
+    shift, and ``inside``, the (n, K) boolean table whose column j says which
+    rows keep the leg of offset ``order[j]``.
 
     Stencil legs that leave the interior box hit Dirichlet nodes and are
-    dropped (their contribution belongs to the right-hand side).  Within a
-    row the columns are sorted, as a COO-to-CSR conversion leaves them.  The
-    arrays are read-only: every matrix of this shape shares them.
+    dropped (their contribution belongs to the right-hand side), so each
+    column of ``inside`` is a box.  Within a row the columns are sorted, as a
+    COO-to-CSR conversion leaves them: a row's entries are its row of the
+    table in shift order, masked by ``inside``, and ``indices`` is written
+    from that table block by block (``_row_blocks``).  The arrays are
+    read-only, and every matrix of this shape shares them: int32 indices
+    while the entries fit, so about 5.3 bytes per stored entry in 3D.
     """
     if any(o not in (-1, 0, 1) for off in offsets for o in off):
         raise ConfigError("stencil offsets must be -1, 0, or 1")
@@ -180,29 +184,55 @@ def _stencil_pattern(offsets: tuple, interior_shape: tuple[int, ...]):
     strides = [int(np.prod(interior_shape[a + 1:])) for a in range(len(interior_shape))]
     shifts = np.array(offsets) @ strides  # column minus row, per offset
     order = np.argsort(shifts)
-    node = np.indices(interior_shape).reshape(len(interior_shape), n).T
-    inside = np.stack(
-        [np.all((node + offsets[k] >= 0) & (node + offsets[k] < interior_shape), axis=1) for k in order],
-        axis=1,
-    )
+    inside = np.zeros((*interior_shape, len(offsets)), dtype=bool)
+    for j, k in enumerate(order):
+        box = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(offsets[k], interior_shape))
+        inside[(*box, j)] = True
+    inside = inside.reshape(n, len(offsets))
     idx_dtype = np.int32 if len(offsets) * n < 2**31 else np.int64
-    rows = np.arange(n)[:, None]
-    indices = (rows + shifts[order])[inside].astype(idx_dtype)
-    gather = (order * n + rows)[inside]
     indptr = np.zeros(n + 1, dtype=idx_dtype)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    for arr in (indptr, indices, gather):
+    np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=idx_dtype)
+    sorted_shifts = shifts[order].astype(idx_dtype)
+    for r0, r1, span in _row_blocks(indptr):
+        indices[span] = (np.arange(r0, r1, dtype=idx_dtype)[:, None] + sorted_shifts)[inside[r0:r1]]
+    for arr in (indptr, indices, order, inside):
         arr.flags.writeable = False
-    return indptr, indices, gather
+    return indptr, indices, order, inside
+
+
+_BLOCK_ROWS = 4096  # rows per block of a CSR fill: 4096 x K values stay in cache
+
+
+def _row_blocks(indptr: np.ndarray):
+    """Blocks of ``_BLOCK_ROWS`` rows as (first row, end row, slice of their
+    CSR entries)."""
+    n = indptr.shape[0] - 1
+    for r0 in range(0, n, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        yield r0, r1, slice(int(indptr[r0]), int(indptr[r1]))
 
 
 def _stencil_matrix(entries, interior_shape) -> sp.csr_matrix:
-    """Sparse interior-to-interior matrix from (offset, coefficient array) pairs."""
+    """Sparse interior-to-interior matrix from (offset, coefficient array) pairs.
+
+    ``data`` is written one block of rows at a time: the block's table of
+    coefficients in shift order, masked by the pattern's ``inside``, so no
+    full-size copy of the coefficients is made.  The table is held transposed,
+    one contiguous row per offset, which copies faster than strided columns.
+    """
     interior_shape = tuple(interior_shape)
     n = int(np.prod(interior_shape))
-    indptr, indices, gather = _stencil_pattern(tuple(off for off, _ in entries), interior_shape)
-    coeffs = np.stack([np.broadcast_to(c, interior_shape) for _, c in entries])
-    return sp.csr_matrix((coeffs.reshape(-1)[gather], indices, indptr), shape=(n, n))
+    indptr, indices, order, inside = _stencil_pattern(tuple(off for off, _ in entries), interior_shape)
+    coeffs = [np.broadcast_to(entries[k][1], interior_shape).reshape(n) for k in order]
+    data = np.empty(indices.shape[0])
+    table = np.empty((len(coeffs), min(n, _BLOCK_ROWS)))
+    for r0, r1, span in _row_blocks(indptr):
+        block = table[:, : r1 - r0]
+        for row, c in zip(block, coeffs):
+            row[:] = c[r0:r1]
+        data[span] = block.T[inside[r0:r1]]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_jacobian(u: ScalarField) -> sp.csr_matrix:

@@ -419,6 +419,12 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         # along x from the requested span
         ["legendre", "--candidate", "counterexample", "--kappa", "1e300", "--shape", "5,5", "--z-count", "5"],
         ["legendre", "--candidate", "quadratic", "--x-spans=-1e160..1e160,-1..1", "--shape", "5,5", "--z-count", "5"],
+        # the double-double split of kappa, and e^t at t = 710, once left the
+        # double range and wrote NaN or Infinity into report.json
+        ["verify", "--candidate", "counterexample", "--kappa", "1e308"],
+        ["curvature", "--candidate", "counterexample", "--points", "710,0,1,0"],
+        # e^t is finite here, but the products of the metric data are not
+        ["curvature", "--candidate", "counterexample", "--points", "0,0,1,0;400,0,1,0"],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -433,6 +439,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "rigidity-eps-huge", "quadratic-A-overflow", "quadratic-A-nan",
         "box-nan", "box-reversed", "t-span-inf", "level-nan", "level-inf",
         "legendre-z-spacing-overflow", "legendre-x-spacing-overflow",
+        "verify-kappa-split-overflow", "curvature-exp-overflow", "curvature-metric-overflow",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
@@ -463,6 +470,37 @@ def test_classify_records_a_theta_grid_that_overflows():
     assert doc["verdict"] == "NOT-He-form"
     assert doc["theta_harmonicity"] is None
     assert doc["theta_note"].startswith("ZOutOfRange:")
+
+
+@pytest.mark.parametrize("t_nodes", [5, 6])
+def test_classify_field_with_few_t_nodes_records_why_theta_is_missing(t_nodes, tmp_path, capsys):
+    # theta's z axis has one node per interior t-node, fewer than a grid's 5;
+    # the verdict does not need theta, so the reason goes into theta_note
+    g = Grid(((-1.0, 1.0),) * 3, (t_nodes, 9, 9))
+    ScalarField.sample(g, Quadratic.standard(3)).save(tmp_path / "q")
+    code, doc, captured = run(capsys, "classify", "--field", str(tmp_path / "q"))
+    assert code == 0, captured.err
+    assert doc["verdict"] == "He-form"
+    assert doc["theta_harmonicity"] is None
+    assert doc["theta_note"] == f"theta needs at least 7 t-nodes (5 z nodes), the field has {t_nodes}"
+
+
+def test_shifted_quadratic_is_refused_below_its_rounding_floor():
+    # u - min u carries noise of about eps |min u| = 2e-16 here, which once
+    # moved the intercepts at h = 1e-20 to about 35 times sqrt(2 h / A_kk)
+    diag = np.array([1.0, 0.5, 0.5])
+    for k in range(4, 31):
+        level = 10.0 ** -k
+        code, out, err = _main_in_process(
+            "barrier", "--candidate", "quadratic", "--A", "1,0,0;0,0.5,0;0,0,0.5",
+            "--b=0.3,-0.2,0.1", "--c=1", f"--level={level!r}",
+        )
+        if code == 0:
+            want = np.sqrt(2.0 * level / diag)
+            np.testing.assert_allclose(json.loads(out)["intercepts"], want, rtol=1e-6, err_msg=f"level {level}")
+        else:
+            assert code == 2 and out == "", (level, code, err)
+            assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def _main_in_process(*argv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,32 @@ def test_cached_pattern_jacobian_is_bit_identical_to_coo_build(g, monkeypatch):
             got, want = getattr(J, name), getattr(ref, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def test_cold_jacobian_assembly_memory_is_bounded(monkeypatch):
+    """A cold 41^3 assembly peaks at most 28 MB traced, and its cached pattern
+    holds at most 10 bytes per stored entry: int32 indices plus a boolean
+    table, where an int64 gather index once added 8 more."""
+    g = cube(-1.0, 1.0, 41)
+    u = ScalarField.sample(g, Counterexample())
+    seen = []
+    stencil_matrix = solver._stencil_matrix
+
+    def recording(entries, interior_shape):
+        seen.append((tuple(off for off, _ in entries), tuple(interior_shape)))
+        return stencil_matrix(entries, interior_shape)
+
+    monkeypatch.setattr(solver, "_stencil_matrix", recording)
+    solver._stencil_pattern.cache_clear()
+    tracemalloc.start()
+    try:
+        J = assemble_jacobian(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28e6, f"traced peak {peak / 1e6:.1f} MB"
+    cached = solver._stencil_pattern(*seen[-1])  # a cache hit: the arrays every matrix shares
+    assert sum(arr.nbytes for arr in cached) <= 10 * J.nnz
 
 
 def _literal_jacobian_entries(u):
