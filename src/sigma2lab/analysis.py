@@ -23,6 +23,7 @@ from .core_ops import (
     laplacian,
     mesh_points,
     second_diff,
+    shifted,
     sigma2_tilde,
 )
 from .errors import (
@@ -47,8 +48,10 @@ __all__ = [
 
 _CONTAIN_SAMPLES = 1000
 _CONTAIN_SEED = 20230915
-# value = u - u0 - (x - xstar) . g0 carries rounding noise of about eps |u0|,
-# which moves an axis intercept by a relative noise / (2 h); a level must keep
+# value = u - u0 - (x - xstar) . g0 carries rounding noise of about
+# eps (|u0| + |xstar . grad u(0)|): for a quadratic these two bound its
+# constant, linear and quadratic terms at xstar, which eval_many sums.  The
+# noise moves an axis intercept by a relative noise / (2 h); a level must keep
 # that below this bound
 _INTERCEPT_NOISE_RTOL = 1e-8
 
@@ -104,14 +107,15 @@ def _gradient(candidate, pts: np.ndarray) -> np.ndarray:
     return np.column_stack([candidate.eval_many(pts, e) for e in np.eye(pts.shape[1], dtype=int)])
 
 
-def _minimize_candidate(candidate) -> tuple[np.ndarray, np.ndarray]:
+def _minimize_candidate(candidate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the gradient from the origin, tolerance 1e-10 on its
-    sup-norm; the minimizer and the gradient there."""
+    sup-norm; the minimizer, the gradient there and the gradient at the
+    origin."""
     x = np.zeros(candidate.dim)
+    g = g_origin = _gradient(candidate, x[None])[0]
     for _ in range(100):
-        g = _gradient(candidate, x[None])[0]
         if np.abs(g).max() <= 1e-10:
-            return x, g
+            return x, g, g_origin
         H = candidate.hessian_many(x[None])[0]
         try:
             step = np.linalg.solve(H, -g)
@@ -121,18 +125,18 @@ def _minimize_candidate(candidate) -> tuple[np.ndarray, np.ndarray]:
         gn = np.linalg.norm(g)
         for _ in range(40):
             trial = x + alpha * step
-            if np.linalg.norm(_gradient(candidate, trial[None])[0]) < gn:
+            g = _gradient(candidate, trial[None])[0]
+            if np.linalg.norm(g) < gn:
                 x = trial
                 break
             alpha *= 0.5
         else:
             raise NoInteriorPoint("minimizer search stalled; no descent step found")
-    g = _gradient(candidate, x[None])[0]
     if np.abs(g).max() > 1e-8:
         raise NoInteriorPoint(
             f"minimizer search did not converge (|grad| = {np.abs(g).max():.3e})"
         )
-    return x, g
+    return x, g, g_origin
 
 
 def _axis_crossings(value, gradient, xstar: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
@@ -215,14 +219,14 @@ class SublevelSet:
                 f"Hessian eigenvalue {eigs.min():.3e} < 0 at a probe point; "
                 "sublevel machinery requires a convex source"
             )
-        xstar, g0 = _minimize_candidate(candidate)
+        xstar, g0, g_origin = _minimize_candidate(candidate)
         u0 = candidate.eval_many(xstar[None])[0]
-        noise = np.finfo(float).eps * abs(u0)
+        noise = np.finfo(float).eps * (abs(u0) + abs(xstar @ g_origin))
         floor = noise / (2.0 * _INTERCEPT_NOISE_RTOL)
         if h < floor:
             raise ConfigError(
                 f"level h = {h} is below the rounding floor {floor:.3g} of this candidate: "
-                f"u - min u carries noise of about eps |min u| = {noise:.3g}"
+                f"u - min u carries noise of about eps (|min u| + |x* . grad u(0)|) = {noise:.3g}"
             )
 
         def value(pts: np.ndarray) -> np.ndarray:
@@ -324,13 +328,16 @@ def _z_axis(attained_lo: float, attained_hi: float, z_span, z_count: int):
 
 def _legendre_from_field(fld: ScalarField, z_span, z_count):
     grid = fld.grid
+    if z_count is None and grid.shape[0] < 7:  # one z node per interior t-node, and a grid needs 5
+        raise ZOutOfRange(
+            f"theta needs at least 7 t-nodes (5 z nodes) unless z_count is given, the field has {grid.shape[0]}"
+        )
     h0 = grid.spacing[0]
     u1 = (fld.values[2:] - fld.values[:-2]) / (2.0 * h0)
     if np.any(np.diff(u1, axis=0) <= 0.0):
         raise NotMonotone("discrete u_t is not strictly increasing along every t-line")
     flat = u1.reshape(u1.shape[0], -1)
-    if z_count is None:
-        z_count = u1.shape[0]
+    z_count = u1.shape[0] if z_count is None else z_count
     z_span, z = _z_axis(float(flat[0].max()), float(flat[-1].min()), z_span, z_count)
     t_int = grid.axes()[0][1:-1]
     theta = np.empty((z_count, flat.shape[1]))
@@ -517,6 +524,20 @@ def harmonicity_test(theta: ScalarField) -> float:
     return float(block_max.max())
 
 
+def _he_identities(a, x_axes, b_vals, g_vals, lap_b, lap_g, grad_b_sq, round_trip) -> dict:
+    """The extracted (a, b, g) and the residuals of He's identities Lap b = 0, 2a Lap g = 1 + |grad b|^2."""
+    poisson = lap_g - (1.0 + grad_b_sq) / (2.0 * a)
+    return {
+        "a": a,
+        "x_axes": [ax.tolist() for ax in x_axes],
+        "b_values": b_vals,
+        "g_values": g_vals,
+        "lap_b_max": float(np.abs(lap_b).max()),
+        "poisson_residual_max": float(np.abs(poisson).max()),
+        "round_trip_max_error": round_trip,
+    }
+
+
 def _he_extract_candidate(cand, box):
     nt = cand.dim - 1
     x_axes = [np.linspace(lo, hi, 17) for lo, hi in box[1:]]
@@ -525,29 +546,18 @@ def _he_extract_candidate(cand, box):
     a = float(cand.eval_many(np.zeros((1, cand.dim)), (2,) + (0,) * nt)[0]) / 2.0
     b_vals = cand.eval_many(zero_t, (1,) + (0,) * nt)
     g_vals = cand.eval_many(zero_t, (0,) * (nt + 1))
-    lap_b = np.zeros(x_pts.shape[0])
-    lap_g = np.zeros(x_pts.shape[0])
-    grad_b_sq = np.zeros(x_pts.shape[0])
-    for one in np.eye(nt, dtype=int):
-        lap_b += cand.eval_many(zero_t, (1, *2 * one))
-        lap_g += cand.eval_many(zero_t, (0, *2 * one))
-        grad_b_sq += cand.eval_many(zero_t, (1, *one)) ** 2
-    poisson = lap_g - (1.0 + grad_b_sq) / (2.0 * a)
+    eye = np.eye(nt, dtype=int)
+    lap_b = sum(cand.eval_many(zero_t, (1, *2 * one)) for one in eye)
+    lap_g = sum(cand.eval_many(zero_t, (0, *2 * one)) for one in eye)
+    grad_b_sq = sum(cand.eval_many(zero_t, (1, *one)) ** 2 for one in eye)
     t_samples = np.linspace(box[0][0], box[0][1], 9)
     round_trip = 0.0
     for t in t_samples:
         pts = np.column_stack([np.full(x_pts.shape[0], t), x_pts])
         model = a * t * t + t * b_vals + g_vals
         round_trip = max(round_trip, float(np.abs(cand.eval_many(pts) - model).max()))
-    return {
-        "a": a,
-        "x_axes": [ax.tolist() for ax in x_axes],
-        "b_values": b_vals.reshape([ax.size for ax in x_axes]),
-        "g_values": g_vals.reshape([ax.size for ax in x_axes]),
-        "lap_b_max": float(np.abs(lap_b).max()),
-        "poisson_residual_max": float(np.abs(poisson).max()),
-        "round_trip_max_error": round_trip,
-    }
+    shape = [ax.size for ax in x_axes]
+    return _he_identities(a, x_axes, b_vals.reshape(shape), g_vals.reshape(shape), lap_b, lap_g, grad_b_sq, round_trip)
 
 
 def _he_extract_field(fld: ScalarField):
@@ -559,36 +569,21 @@ def _he_extract_field(fld: ScalarField):
             "field t-range must contain 0 strictly inside; the reduction is anchored at t = 0"
         )
     h0 = grid.spacing[0]
-    utt = second_diff(fld.values, 0, h0)
-    a = float(utt.mean()) / 2.0
+    a = float(second_diff(fld.values, 0, h0).mean()) / 2.0
     b_vals = (fld.values[t_idx + 1] - fld.values[t_idx - 1]) / (2.0 * h0)
     g_vals = fld.values[t_idx].copy()
-    inner = tuple(slice(1, -1) for _ in range(grid.dim - 1))
-    lap_b = np.zeros_like(b_vals[inner])
-    lap_g = np.zeros_like(g_vals[inner])
-    grad_b_sq = np.zeros_like(b_vals[inner])
-    for k in range(grid.dim - 1):
-        h = grid.spacing[k + 1]
-        lap_b += second_diff(b_vals, k, h)
-        lap_g += second_diff(g_vals, k, h)
-        up = [slice(1, -1)] * (grid.dim - 1)
-        dn = [slice(1, -1)] * (grid.dim - 1)
-        up[k] = slice(2, None)
-        dn[k] = slice(None, -2)
-        grad_b_sq += ((b_vals[tuple(up)] - b_vals[tuple(dn)]) / (2.0 * h)) ** 2
-    poisson = lap_g - (1.0 + grad_b_sq) / (2.0 * a)
+    x_spacing = grid.spacing[1:]
+    grad_b_sq = sum(
+        ((shifted(b_vals, e) - shifted(b_vals, -e)) / (2.0 * h)) ** 2
+        for e, h in zip(np.eye(grid.dim - 1, dtype=int), x_spacing)
+    )
     tt = axes[0].reshape((-1,) + (1,) * (grid.dim - 1)) - axes[0][t_idx]
     model = a * tt * tt + tt * b_vals[None] + g_vals[None]
     round_trip = float(np.abs(fld.values - model).max())
-    return {
-        "a": a,
-        "x_axes": [ax.tolist() for ax in axes[1:]],
-        "b_values": b_vals,
-        "g_values": g_vals,
-        "lap_b_max": float(np.abs(lap_b).max()),
-        "poisson_residual_max": float(np.abs(poisson).max()),
-        "round_trip_max_error": round_trip,
-    }
+    return _he_identities(
+        a, axes[1:], b_vals, g_vals, laplacian(b_vals, x_spacing), laplacian(g_vals, x_spacing),
+        grad_b_sq, round_trip,
+    )
 
 
 def he_reduction_report(source, tol=1e-8) -> dict:
@@ -625,12 +620,6 @@ def he_reduction_report(source, tol=1e-8) -> dict:
         report.update(dict.fromkeys(["a", "lap_b_max", "poisson_residual_max", "round_trip_max_error"]))
     report["theta_harmonicity"] = None
     report["theta_note"] = None
-    if field and source.grid.shape[0] < 7:
-        # a field's theta has one z node per interior t-node, and a grid needs 5
-        report["theta_note"] = (
-            f"theta needs at least 7 t-nodes (5 z nodes), the field has {source.grid.shape[0]}"
-        )
-        return report
     try:
         # a field's theta lives on its own grid, which is the box
         th = partial_legendre(source, t_span=box[0], x_spans=tuple(box[1:]))

@@ -146,48 +146,40 @@ def _load_source(args):
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """The types json cannot encode: numpy arrays and scalars, complex as {"re", "im"}, else str()."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is a subclass of int
+        return obj.tolist()
+    if isinstance(obj, np.bool_):  # before np.integer
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.complexfloating):
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if obj is None or isinstance(obj, str):
-        return obj
     return str(obj)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _check(name: str, value, tolerance, ok: bool) -> dict:
     return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(ok)}
 
 
-def _config_dict(args) -> dict:
-    skip = {"func"}
-    return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
-
-
 def _emit(args, subcommand: str, checks: list[dict], payload: dict) -> int:
     report = {
         "subcommand": subcommand,
         "tool": {"name": "sigma2lab", "version": __version__},
-        "config": _config_dict(args),
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": args.seed,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
     report.update(payload)
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    text = _dumps(report)
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
@@ -373,15 +365,8 @@ def cmd_rigidity(args) -> int:
         _check("all_rows_converged", len(converged), len(rows), len(converged) == len(rows)),
         _check("osc_u11_non_increasing", oscs, None, non_increasing and len(oscs) >= 2),
     ]
-    _write_csv(
-        args,
-        "rigidity.csv",
-        ["L", "h", "converged", "iterations", "osc_u11_inner", "max_u1_axis", "error"],
-        lambda: [
-            [r["L"], r["h"], r["converged"], r["iterations"], r["osc_u11_inner"], r["max_u1_axis"], r["error"]]
-            for r in rows
-        ],
-    )
+    header = ["L", "h", "converged", "iterations", "osc_u11_inner", "max_u1_axis", "error"]
+    _write_csv(args, "rigidity.csv", header, lambda: [[r[k] for k in header] for r in rows])
     return _emit(args, "rigidity", checks, {"rows": rows})
 
 
@@ -516,12 +501,8 @@ def cmd_convergence(args) -> int:
             in_window and len(ratios) >= 1,
         )
     ]
-    _write_csv(
-        args,
-        "convergence.csv",
-        ["h", "nodes_per_axis", "iterations", "residual_norm", "interior_max_error"],
-        lambda: [[r["h"], r["nodes_per_axis"], r["iterations"], r["residual_norm"], r["interior_max_error"]] for r in rows],
-    )
+    header = ["h", "nodes_per_axis", "iterations", "residual_norm", "interior_max_error"]
+    _write_csv(args, "convergence.csv", header, lambda: [[r[k] for k in header] for r in rows])
     return _emit(args, "convergence", checks, {"rows": rows, "ratios": ratios})
 
 
@@ -644,7 +625,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         sys.stderr.write(f"solver failure: {type(exc).__name__}: {exc}\n")
         if exc.report is not None:
-            sys.stderr.write(json.dumps(_jsonable(exc.report.to_dict()), indent=2, sort_keys=True) + "\n")
+            sys.stderr.write(_dumps(exc.report.to_dict()))
         return 3
 
 

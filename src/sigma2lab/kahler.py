@@ -119,15 +119,29 @@ def _det(g: np.ndarray) -> np.ndarray:
     return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
+# _det errs by at most _DET_ERR eps (|g00 g11| + |g01 g10|) (derived in test_kahler); a
+# det whose bound exceeds _DET_RTOL |det| has lost its digits and is not reported
+_DET_ERR = 4.0
+_DET_RTOL = 1e-8
+
+
 def _require_pd(g: np.ndarray, points: np.ndarray) -> None:
     g00 = g[:, 0, 0].real
     det = _det(g).real
-    bad = (g00 <= 0.0) | (det <= 0.0)
+    err = _DET_ERR * np.finfo(float).eps * (np.abs(g[:, 0, 0] * g[:, 1, 1]) + np.abs(g[:, 0, 1] * g[:, 1, 0]))
+    bad = (g00 <= 0.0) | (det <= -err)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NotPositiveDefinite(
-            f"metric not positive definite at (t,s,x,y)={tuple(points[k])}: "
+            f"metric not positive definite at (t,s,x,y)={tuple(points[k].tolist())}: "
             f"g11={g00[k]:.6g}, det={det[k]:.6g}"
+        )
+    lost = err > _DET_RTOL * np.abs(det)
+    if np.any(lost):
+        k = int(np.argmax(lost))
+        raise ConfigError(
+            f"det g at (t,s,x,y)={tuple(points[k].tolist())} is lost to rounding: its error "
+            f"bound {err[k]:.3g} exceeds {_DET_RTOL:g} of |det g| = {abs(det[k]):.6g}"
         )
 
 
@@ -189,7 +203,9 @@ def curvature(potential, points) -> dict[str, np.ndarray]:
     metric and read 0.  Raises if the metric is not positive definite at
     any point, and ConfigError naming the first point where a product of the
     metric data leaves the double range (beyond t of about 350 on the
-    exponential solution, whose g grows like e^t).
+    exponential solution, whose g grows like e^t) or where rounding leaves
+    det g fewer than 8 correct digits (beyond t of about 7 at x = 1 there,
+    where g00 g11 and |g01|^2 grow like e^2t and cancel to 1/16).
     """
     data = metric_batch(potential, points)
     try:

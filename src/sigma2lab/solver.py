@@ -61,7 +61,7 @@ prolongation breaks u_tt > 0 starts from its own cone entry instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 
 import numpy as np
@@ -146,15 +146,10 @@ class SolveReport:
     solution: ScalarField | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "residual_max": self.residual_max,
-            "min_u11": self.min_u11,
-            "tol": self.tol,
-            "residual_history": list(self.residual_history),
-        }
+        """Every field but ``solution``; ``residual_history`` as a copy."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solution"}
+        out["residual_history"] = list(self.residual_history)
+        return out
 
 
 def assemble_residual(u: ScalarField) -> np.ndarray:
@@ -609,10 +604,6 @@ def _prolong(coarse: ScalarField, fine_grid: Grid) -> np.ndarray:
     Cubic, not linear: the fine-grid second differences of a piecewise-linear
     interpolant vanish at inserted nodes, which would violate the u_tt > 0 guard.
     """
-    if fine_grid.dim != coarse.grid.dim:
-        raise ConfigError(
-            f"cubic prolongation needs grids of one dimension, got {coarse.grid.shape} -> {fine_grid.shape}"
-        )
     return _resample(coarse.values, fine_grid.shape)
 
 

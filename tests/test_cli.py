@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import importlib
 import importlib.util
 import io
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import sigma2lab
 from sigma2lab.analysis import _ROOT_BLOCK
+from sigma2lab import cli
 from sigma2lab.cli import _parser, _write_grid_csv, main
 from sigma2lab.core_ops import Grid, ScalarField
 from sigma2lab.candidates import Quadratic
@@ -308,6 +310,106 @@ def test_module_entry_point():
     assert "sigma2lab" in proc.stdout
 
 
+def test_console_script_entry_point_runs():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["sigma2lab"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exit_info:
+        entry(["--version"])
+    assert exit_info.value.code == 0
+
+
+_ENCODED = """{
+  "checks": [
+    {
+      "name": "c",
+      "pass": true,
+      "tolerance": null,
+      "value": 0.25
+    }
+  ],
+  "complex": {
+    "im": -2.0,
+    "re": 1.5
+  },
+  "complex_array": [
+    [
+      {
+        "im": 2.0,
+        "re": 1.0
+      },
+      {
+        "im": -0.5,
+        "re": -0.0
+      }
+    ]
+  ],
+  "config": {
+    "flag": true,
+    "out": null,
+    "seed": 4,
+    "spans": [
+      0.5,
+      -1
+    ]
+  },
+  "inf": [
+    Infinity,
+    -Infinity
+  ],
+  "nan": NaN,
+  "neg_zero": -0.0,
+  "nested": [
+    [
+      1,
+      2.5
+    ],
+    [
+      3,
+      [
+        null,
+        "s"
+      ]
+    ]
+  ],
+  "none": null,
+  "np_bool": true,
+  "np_float32": 0.10000000149011612,
+  "np_float64": 0.3333333333333333,
+  "np_int64": -7,
+  "pass": true,
+  "seed": 4,
+  "subcommand": "encode",
+  "tool": {
+    "name": "sigma2lab",
+    "version": "%s"
+  }
+}
+"""
+
+
+def test_report_encoder_writes_every_type_it_meets(capsys):
+    payload = {
+        "nan": float("nan"),
+        "inf": [float("inf"), -float("inf")],
+        "neg_zero": -0.0,
+        "np_bool": np.bool_(True),
+        "np_int64": np.int64(-7),
+        "np_float32": np.float32(0.1),
+        "np_float64": np.float64(1.0) / 3.0,
+        "complex": 1.5 - 2j,
+        "complex_array": np.array([[1 + 2j, -0.5j]]),
+        "nested": ((1, 2.5), (np.int64(3), (None, "s"))),
+        "none": None,
+    }
+    args = argparse.Namespace(seed=np.int64(4), out=None, func=print, flag=True, spans=(0.5, -1))
+    check = cli._check("c", np.float64(0.25), None, np.bool_(True))
+    assert cli._emit(args, "encode", [check], payload) == 0
+    assert capsys.readouterr().out == _ENCODED % sigma2lab.__version__
+
+
 def _run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "sigma2lab.cli", *argv], capture_output=True, text=True
@@ -425,6 +527,9 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         ["curvature", "--candidate", "counterexample", "--points", "710,0,1,0"],
         # e^t is finite here, but the products of the metric data are not
         ["curvature", "--candidate", "counterexample", "--points", "0,0,1,0;400,0,1,0"],
+        # g00 g11 and |g01|^2 cancel to det g = 1/16 and leave rounding
+        # noise, which was once reported as det_g = 0.125 with exit 0
+        ["curvature", "--candidate", "counterexample", "--points", "18,0,1,0"],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -440,6 +545,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "box-nan", "box-reversed", "t-span-inf", "level-nan", "level-inf",
         "legendre-z-spacing-overflow", "legendre-x-spacing-overflow",
         "verify-kappa-split-overflow", "curvature-exp-overflow", "curvature-metric-overflow",
+        "curvature-det-lost-to-rounding",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
@@ -482,18 +588,36 @@ def test_classify_field_with_few_t_nodes_records_why_theta_is_missing(t_nodes, t
     assert code == 0, captured.err
     assert doc["verdict"] == "He-form"
     assert doc["theta_harmonicity"] is None
-    assert doc["theta_note"] == f"theta needs at least 7 t-nodes (5 z nodes), the field has {t_nodes}"
+    assert doc["theta_note"] == (
+        f"ZOutOfRange: theta needs at least 7 t-nodes (5 z nodes) unless z_count is given, "
+        f"the field has {t_nodes}"
+    )
 
 
-def test_shifted_quadratic_is_refused_below_its_rounding_floor():
-    # u - min u carries noise of about eps |min u| = 2e-16 here, which once
-    # moved the intercepts at h = 1e-20 to about 35 times sqrt(2 h / A_kk)
+@pytest.mark.parametrize("t_nodes", [5, 6])
+def test_legendre_field_with_few_t_nodes_names_the_fields_t_nodes(t_nodes, tmp_path):
+    # the default z axis has one node per interior t-node: the message is
+    # about the field the user gave, not about theta's grid
+    g = Grid(((-1.0, 1.0),) * 3, (t_nodes, 9, 9))
+    ScalarField.sample(g, Quadratic.standard(3)).save(tmp_path / "q")
+    proc = _run_module("legendre", "--field", str(tmp_path / "q"))
+    _assert_config_error(proc)
+    assert f"the field has {t_nodes}" in proc.stderr
+    # an explicit z count needs only the three interior t-nodes
+    assert _run_module("legendre", "--field", str(tmp_path / "q"), "--z-count", "5").returncode == 0
+
+
+def _barrier_exits(b: str, c: str, exponents) -> list[int]:
+    """Exit codes of ``barrier`` on diag(1, 0.5, 0.5) with linear term ``b``
+    and constant ``c`` at the levels 10^-k; each run either certifies the
+    intercepts sqrt(2 h / A_kk) to 1e-6 relative or is refused with one line."""
     diag = np.array([1.0, 0.5, 0.5])
-    for k in range(4, 31):
+    codes = []
+    for k in exponents:
         level = 10.0 ** -k
         code, out, err = _main_in_process(
             "barrier", "--candidate", "quadratic", "--A", "1,0,0;0,0.5,0;0,0,0.5",
-            "--b=0.3,-0.2,0.1", "--c=1", f"--level={level!r}",
+            f"--b={b}", f"--c={c}", f"--level={level!r}",
         )
         if code == 0:
             want = np.sqrt(2.0 * level / diag)
@@ -501,6 +625,22 @@ def test_shifted_quadratic_is_refused_below_its_rounding_floor():
         else:
             assert code == 2 and out == "", (level, code, err)
             assert err.startswith("configuration error:") and err.count("\n") == 1
+        codes.append(code)
+    return codes
+
+
+def test_shifted_quadratic_is_refused_below_its_rounding_floor():
+    # u - min u carries noise of about eps |min u| = 2e-16 here, which once
+    # moved the intercepts at h = 1e-20 to about 35 times sqrt(2 h / A_kk)
+    _barrier_exits("0.3,-0.2,0.1", "1", range(4, 31))
+
+
+def test_rounding_floor_covers_the_terms_eval_many_sums():
+    # min u = 0 here, but eval_many sums c = 5000, b . x = -1e4 and
+    # x A x / 2 = 5000 near x* = (-100, 0, 0): with a floor of eps |min u| = 0
+    # the intercepts were 3.1e-3 off at h = 1e-10 and 2.6e-5 off at 1e-8
+    codes = _barrier_exits("100,0,0", "5000", range(1, 13))
+    assert codes[:3] == [0, 0, 0]
 
 
 def _main_in_process(*argv):

@@ -81,7 +81,7 @@ def test_metric_requires_three_dimensional_potential():
 def test_not_positive_definite_is_reported():
     # a large negative quartic makes u_xx + u_yy change sign
     bad = oracles.PerturbedPotential(Counterexample(), eps=-10.0)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match=r"at \(t,s,x,y\)=\(0\.0, 0\.0, 1\.0, 0\.0\)"):
         curvature(bad, (0.0, 0.0, 1.0, 0.0))
 
 
@@ -102,6 +102,44 @@ def test_quadratic_with_cross_terms_same_determinant():
     A = np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
     q = Quadratic(A)
     assert curvature(q, (0.4, 1.0, -0.2, 0.8))["det_g"][0] == pytest.approx(1 / 16, abs=1e-14)
+
+
+def test_det_rounding_error_is_within_its_bound():
+    """Given its entries, _det rounds three times, each by at most eps/2
+    relative: the real product g00 g11, the real part a^2 + b^2 of g01 g10
+    (two products and a sum, so 2 of them on that term) and the difference.
+    To first order its error is at most (3/2) eps (|g00 g11| + |g01 g10|).
+    The entries are themselves rounded results (e^t times polynomial terms,
+    a few ulps each), and each ulp of an entry adds eps/2 to its products:
+    _DET_ERR = 4 eps covers both.  On the exponential family, where
+    det g = kappa / 4 exactly, the worst error on these samples is 1.6 eps
+    times the terms, so the bound is also not loose by more than a factor 4."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for kappa in (0.01, 0.25, 3.0):
+        pts4 = rng.uniform(-1.0, 1.0, size=(20000, 4))
+        pts4[:, 0] = rng.uniform(-20.0, 17.0, 20000)
+        g = metric_batch(Counterexample(kappa), pts4)["g"]
+        terms = np.abs(g[:, 0, 0] * g[:, 1, 1]) + np.abs(g[:, 0, 1] * g[:, 1, 0])
+        worst = max(worst, float((np.abs(kahler._det(g).real - kappa / 4) / (eps * terms)).max()))
+    assert 1.0 <= worst <= kahler._DET_ERR
+
+
+@pytest.mark.parametrize("t", [8.0, 10.0, 18.0, 20.0])
+def test_a_determinant_lost_to_rounding_is_refused(t):
+    # g00 g11 and |g01|^2 grow like e^2t / 4 at x = 1 and cancel to 1/16:
+    # det_g once read 0.0624999851 at t = 10, 0.125 at t = 18 and 0 at t = 20,
+    # where the metric was called not positive definite
+    with pytest.raises(ConfigError, match=rf"\(t,s,x,y\)=\({t}, 0\.0, 1\.0, 0\.0\) is lost to rounding"):
+        curvature(Counterexample(), (t, 0.0, 1.0, 0.0))
+
+
+def test_a_determinant_within_its_bound_is_reported():
+    # up to t = 7 at x = 1 the bound stays below _DET_RTOL |det g|
+    t = np.linspace(-7.0, 7.0, 29)
+    pts4 = np.column_stack([t, np.zeros_like(t), np.ones_like(t), np.zeros_like(t)])
+    np.testing.assert_allclose(curvature(Counterexample(), pts4)["det_g"], 1 / 16, rtol=kahler._DET_RTOL)
 
 
 # ---------------------------------------------------------------------------

@@ -462,13 +462,6 @@ def test_prolong_reproduces_a_tensor_cubic(bounds, shape, fine_shape):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_prolong_rejects_a_level_pair_of_another_dimension():
-    coarse = Grid(((-1.0, 1.0),) * 3, (7, 5, 9))
-    fine = Grid(((-1.0, 1.0),) * 2, (13, 9))
-    with pytest.raises(ConfigError, match="cubic prolongation needs grids of one dimension"):
-        solver._prolong(ScalarField(coarse, np.zeros(coarse.shape)), fine)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_every_ladder_ends_at_most_8_nodes_per_axis(dim):
     # arithmetic on the shapes only: no grid of these sizes is allocated
