@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import Quadratic
 from .core_ops import (
     Grid,
     ScalarField,
@@ -191,9 +190,12 @@ class SublevelSet:
     ``value`` evaluates the normalized function at (N, dim) points; axis
     intercepts are the distances from the minimizer to the boundary of K_h
     along each coordinate axis (the smaller of the two directions).
-    ``hessian`` is the constant Hessian of a quadratic source, for which
+    ``hessian`` is the source's Hessian when it is constant, for which
     value(x) = (x - minimizer)^T hessian (x - minimizer) / 2 exactly; None
-    for every other source.
+    for every other source.  It is read off the convexity probe, 5 nodes per
+    axis of [-2, 2]^n: every family's Hessian entries have degree at most 2
+    in each variable or contain e^t, so a Hessian that is the same at every
+    probe node is constant.
     """
 
     h: float
@@ -213,7 +215,8 @@ class SublevelSet:
             raise ConfigError(f"level h = {h} is out of range: 1/(4 h^2) is not a finite normal float")
         dim = candidate.dim
         probe = mesh_points([np.linspace(-2.0, 2.0, 5)] * dim)
-        eigs = np.linalg.eigvalsh(candidate.hessian_many(probe))
+        H = candidate.hessian_many(probe)
+        eigs = np.linalg.eigvalsh(H)
         if eigs.min() < -1e-8:
             raise NotConvex(
                 f"Hessian eigenvalue {eigs.min():.3e} < 0 at a probe point; "
@@ -243,7 +246,7 @@ class SublevelSet:
             minimizer=xstar,
             intercepts=crossings.reshape(dim, 2).min(axis=1),
             value=value,
-            hessian=candidate.A if isinstance(candidate, Quadratic) else None,
+            hessian=H[0] if (H == H[0]).all() else None,
         )
 
 
@@ -251,9 +254,10 @@ def inscribe_ellipsoid(K: SublevelSet, samples: int = _CONTAIN_SAMPLES) -> Ellip
     """Ellipsoid inside K_h: diagonal seed M0 from the axis intercepts, then
     the smallest uniform shrink factor s >= 1 that keeps it inside.
 
-    For a quadratic source the maximum of value on |s M0 (x - c)| = 1 is
+    For a source with a constant Hessian H (a quadratic, or a He-form with
+    affine b) the maximum of value on |s M0 (x - c)| = 1 is
     lambda_max(M0^-1 H M0^-1) / (2 s^2), so s is exact in closed form.  For
-    every other source s is certified on sampled boundary points only.
+    a non-constant Hessian s is certified on sampled boundary points only.
     """
     if samples < 1:
         raise ConfigError(f"need at least one sample point, got {samples}")

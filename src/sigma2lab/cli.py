@@ -574,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_candidate_flags(p)
     _add_common_flags(p)
     p.add_argument("--level", type=float, default=1.0, help="sublevel value h")
-    p.add_argument("--samples", type=int, default=1000, help="boundary samples for containment (non-quadratic candidates)")
+    p.add_argument("--samples", type=int, default=1000, help="boundary samples for containment (candidates with a non-constant Hessian)")
     p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("legendre", help="partial Legendre transform theta(z, x)")

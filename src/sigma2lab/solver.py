@@ -7,7 +7,8 @@ the ellipticity cone u_tt > 0; a backtracking line search on ||F||_2 keeps
 iterates there.  ``assemble_jacobian`` derives it from the residual's stencil
 table (``core_ops.hessian_stencil``): each Hessian entry's legs, times the
 partial derivative Lap_x u, u_tt or -2 u_ti of sigma2_tilde in u_tt, u_ii or
-u_ti, summed per offset.
+u_ti, summed per offset into one stored diagonal (DIA storage, Saad,
+*Iterative Methods for Sparse Linear Systems*, 2003, §3.4).
 Boundary nodes are hard Dirichlet constraints eliminated from the linear
 systems.
 
@@ -157,95 +158,36 @@ def assemble_residual(u: ScalarField) -> np.ndarray:
     return (sigma2_interior(u.values, u.grid.spacing) - 1.0).ravel()
 
 
-@lru_cache(maxsize=8)
-def _stencil_pattern(offsets: tuple, interior_shape: tuple[int, ...]):
-    """CSR ``indptr`` and ``indices`` of the interior-to-interior stencil
-    matrix with these (distinct) offsets, the offsets' ``order`` by column
-    shift, and ``inside``, the (n, K) boolean table whose column j says which
-    rows keep the leg of offset ``order[j]``.
+def assemble_jacobian(u: ScalarField) -> sp.dia_matrix:
+    """Exact Jacobian of ``assemble_residual`` at u (interior unknowns only),
+    stored as one diagonal per stencil offset in column-shift order.
 
     Stencil legs that leave the interior box hit Dirichlet nodes and are
-    dropped (their contribution belongs to the right-hand side), so each
-    column of ``inside`` is a box.  Within a row the columns are sorted, as a
-    COO-to-CSR conversion leaves them: a row's entries are its row of the
-    table in shift order, masked by ``inside``, and ``indices`` is written
-    from that table block by block (``_row_blocks``).  The arrays are
-    read-only, and every matrix of this shape shares them: int32 indices
-    while the entries fit, so about 5.3 bytes per stored entry in 3D.
+    dropped (their contribution belongs to the right-hand side), so each leg
+    fills the box of rows it stays inside.  DIA keeps entry (r, r + s) at
+    column r + s of the diagonal of shift s, so the leg's box is written
+    shifted by its offset.
     """
-    if any(o not in (-1, 0, 1) for off in offsets for o in off):
-        raise ConfigError("stencil offsets must be -1, 0, or 1")
-    n = int(np.prod(interior_shape))
-    strides = [int(np.prod(interior_shape[a + 1:])) for a in range(len(interior_shape))]
-    shifts = np.array(offsets) @ strides  # column minus row, per offset
-    order = np.argsort(shifts)
-    inside = np.zeros((*interior_shape, len(offsets)), dtype=bool)
-    for j, k in enumerate(order):
-        box = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(offsets[k], interior_shape))
-        inside[(*box, j)] = True
-    inside = inside.reshape(n, len(offsets))
-    idx_dtype = np.int32 if len(offsets) * n < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=idx_dtype)
-    np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=idx_dtype)
-    sorted_shifts = shifts[order].astype(idx_dtype)
-    for r0, r1, span in _row_blocks(indptr):
-        indices[span] = (np.arange(r0, r1, dtype=idx_dtype)[:, None] + sorted_shifts)[inside[r0:r1]]
-    for arr in (indptr, indices, order, inside):
-        arr.flags.writeable = False
-    return indptr, indices, order, inside
-
-
-_BLOCK_ROWS = 4096  # rows per block of a CSR fill: 4096 x K values stay in cache
-
-
-def _row_blocks(indptr: np.ndarray):
-    """Blocks of ``_BLOCK_ROWS`` rows as (first row, end row, slice of their
-    CSR entries)."""
-    n = indptr.shape[0] - 1
-    for r0 in range(0, n, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, n)
-        yield r0, r1, slice(int(indptr[r0]), int(indptr[r1]))
-
-
-def _stencil_matrix(entries, interior_shape) -> sp.csr_matrix:
-    """Sparse interior-to-interior matrix from (offset, coefficient array) pairs.
-
-    ``data`` is written one block of rows at a time: the block's table of
-    coefficients in shift order, masked by the pattern's ``inside``, so no
-    full-size copy of the coefficients is made.  The table is held transposed,
-    one contiguous row per offset, which copies faster than strided columns.
-    """
-    interior_shape = tuple(interior_shape)
-    n = int(np.prod(interior_shape))
-    indptr, indices, order, inside = _stencil_pattern(tuple(off for off, _ in entries), interior_shape)
-    coeffs = [np.broadcast_to(entries[k][1], interior_shape).reshape(n) for k in order]
-    data = np.empty(indices.shape[0])
-    table = np.empty((len(coeffs), min(n, _BLOCK_ROWS)))
-    for r0, r1, span in _row_blocks(indptr):
-        block = table[:, : r1 - r0]
-        for row, c in zip(block, coeffs):
-            row[:] = c[r0:r1]
-        data[span] = block.T[inside[r0:r1]]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def assemble_jacobian(u: ScalarField) -> sp.csr_matrix:
-    """Exact Jacobian of ``assemble_residual`` at u (interior unknowns only)."""
     h = u.grid.spacing
     ndim = u.grid.dim
+    shape = u.grid.interior_shape
+    n = math.prod(shape)
+    strides = [math.prod(shape[a + 1 :]) for a in range(ndim)]
     utt, diag, cross = hessian_parts(u.values, h)
     # d sigma2_tilde / d H_ab for every entry the operator reads
     partials = [((0, 0), sum(diag))]
     partials += [((a, a), utt) for a in range(1, ndim)]
     partials += [((0, a), -2.0 * cross[a - 1]) for a in range(1, ndim)]
-    entries = {}
-    for (a, b), coeff in partials:
-        legs, divisor = hessian_stencil(ndim, a, b, h)
+    stencils = [(coeff, *hessian_stencil(ndim, a, b, h)) for (a, b), coeff in partials]
+    shift = {off: int(np.dot(off, strides)) for _, legs, _ in stencils for off, _ in legs}
+    offsets = sorted(set(shift.values()))
+    data = np.zeros((len(offsets), n))
+    for coeff, legs, divisor in stencils:
         for off, w in legs:
-            term = w * coeff / divisor
-            entries[off] = entries[off] + term if off in entries else term
-    return _stencil_matrix(list(entries.items()), u.grid.interior_shape)
+            src = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, shape))
+            tgt = tuple(slice(max(0, o), m - max(0, -o)) for o, m in zip(off, shape))
+            data[offsets.index(shift[off])].reshape(shape)[tgt] += w * coeff[src] / divisor
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 def _boundary_only(problem: DirichletProblem) -> np.ndarray:
@@ -306,7 +248,7 @@ def _nested(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
     return all(f in (c, 2 * c - 1) for f, c in zip(fine, coarse))
 
 
-def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, ...]):
+def _v_cycle(mat: sp.spmatrix, shape: tuple[int, ...]):
     """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual.
 
     The fine level and every level with only nested transfers above it smooth
@@ -423,7 +365,7 @@ def _gmres(mat, rhs: np.ndarray, precond) -> tuple[np.ndarray, int, int]:
     return x, iters, _GMRES_CYCLES - 1
 
 
-def _solve_sparse(mat: sp.csr_matrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+def _solve_sparse(mat: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve ``mat x = rhs`` for the interior unknowns of ``grid`` to relative residual 1e-10."""
     x, iters, restarts = _gmres(mat, rhs, _v_cycle(mat, grid.shape))
     if not np.all(np.isfinite(x)):
@@ -777,8 +719,10 @@ def rigidity_sweep(
     failures mark the row instead of aborting the sweep.
     """
     sizes = [float(L) for L in sizes]
-    if any(L <= 0 for L in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError("box sizes must be positive and strictly increasing")
+    if not all(0.0 < L < math.inf for L in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"box sizes must be finite, positive and strictly increasing, got {sizes}")
+    if not math.isfinite(eps):
+        raise ConfigError(f"bump amplitude eps must be finite, got {eps}")
     if not (np.isfinite(h) and h > 0.0):
         raise ConfigError(f"relative spacing h must be finite and positive, got {h}")
     m = int(round(2.0 / h)) + 1

@@ -221,11 +221,35 @@ def test_quadratic_ellipsoid_is_inside_by_the_exact_test():
         A = A0 / np.sqrt(sigma2_tilde(A0))
         q = Quadratic(A, b=rng.normal(size=3), c=float(rng.normal()))
         h = float(10.0 ** rng.uniform(-1.0, 2.0))
-        E = inscribe_ellipsoid(SublevelSet.from_candidate(q, h))
+        K = SublevelSet.from_candidate(q, h)
+        np.testing.assert_array_equal(K.hessian, q.A)  # read off the probe bit for bit
+        E = inscribe_ellipsoid(K)
         np.testing.assert_allclose(E.center, -np.linalg.solve(A, q.b), atol=1e-12)
         Minv = np.linalg.inv(E.M)
         assert np.linalg.eigvalsh(Minv @ A @ Minv).max() / 2.0 <= h * (1.0 + 1e-12)
         assert barrier_check(E, h)["pass"]
+
+
+def test_he_form_with_affine_b_ellipsoid_is_inside_by_the_exact_test():
+    """A He-form whose b is affine is a quadratic with mixed t-x terms: its
+    Hessian H is constant, so the ellipsoid takes the exact path and keeps
+    lambda_max(M^-1 H M^-1) / 2 at most h, to 1e-12."""
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        b0, b1, b2 = rng.uniform(-0.65, 0.65, size=3)  # |grad b| < 1 keeps the form convex
+        he = make_he_form(float(rng.uniform(0.3, 1.5)), HarmonicPoly(2, {(0, 0): b0, (1, 0): b1, (0, 1): b2}))
+        H = he.hessian_many(np.zeros((1, 3)))[0]
+        for h in (0.5, 1.0, float(10.0 ** rng.uniform(-1.0, 1.5))):
+            K = SublevelSet.from_candidate(he, h)
+            np.testing.assert_array_equal(K.hessian, H)
+            Minv = np.linalg.inv(inscribe_ellipsoid(K).M)
+            assert np.linalg.eigvalsh(Minv @ H @ Minv).max() / 2.0 <= h * (1.0 + 1e-12)
+
+
+def test_he_form_with_quadratic_b_takes_the_sampled_path():
+    # its Hessian varies across the probe, so no closed form applies
+    he = make_he_form(0.5, HarmonicPoly(2, {(2, 0): 0.05, (0, 2): -0.05}))
+    assert SublevelSet.from_candidate(he, 0.5).hessian is None
 
 
 def test_barrier_detects_an_inflated_ellipsoid():

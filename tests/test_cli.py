@@ -22,7 +22,7 @@ from sigma2lab.analysis import _ROOT_BLOCK
 from sigma2lab import cli
 from sigma2lab.cli import _parser, _write_grid_csv, main
 from sigma2lab.core_ops import Grid, ScalarField
-from sigma2lab.candidates import Quadratic
+from sigma2lab.candidates import HarmonicPoly, Quadratic, make_he_form
 
 
 def run(capsys, *argv):
@@ -505,6 +505,10 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         # numpy overflow warnings must not reach stderr ahead of the message:
         # the eps bump overflows the auto start's Laplacian and sine transforms,
         ["rigidity", "--candidate", "quadratic", "--sizes", "1,2", "--eps=-1e308"],
+        # the sweep's convexity probe spans the largest box, so an infinite
+        # size once printed RuntimeWarnings ahead of an axis-bounds message
+        ["rigidity", "--candidate", "quadratic", "--sizes", "1,inf"],
+        ["rigidity", "--candidate", "quadratic", "--sizes", "1,2", "--eps", "nan"],
         # sigma2_tilde(A) overflows to inf, or to inf - inf = NaN, which once passed
         ["solve", "--candidate", "quadratic", "--A", "1e200,0,0;0,1e200,0;0,0,1e200", "--grid", "3,-1..1,9"],
         ["solve", "--candidate", "quadratic", "--A", "1e200,1e200,0;1e200,1e200,0;0,0,1e200", "--grid", "3,-1..1,9"],
@@ -541,7 +545,7 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "classify-quadratic-tol-nan", "classify-exponential-tol-nan", "classify-tol-minus-inf",
         "solve-max-iter-negative",
         "ratio-lo-nan", "ratio-hi-inf", "ratio-lo-negative", "ratio-lo-above-hi",
-        "rigidity-eps-huge", "quadratic-A-overflow", "quadratic-A-nan",
+        "rigidity-eps-huge", "rigidity-sizes-inf", "rigidity-eps-nan", "quadratic-A-overflow", "quadratic-A-nan",
         "box-nan", "box-reversed", "t-span-inf", "level-nan", "level-inf",
         "legendre-z-spacing-overflow", "legendre-x-spacing-overflow",
         "verify-kappa-split-overflow", "curvature-exp-overflow", "curvature-metric-overflow",
@@ -648,6 +652,18 @@ def _main_in_process(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_he_form_with_affine_b_certifies_its_ellipsoid_within_1e_12_of_h():
+    # b = 0.8 x makes the Hessian constant but not diagonal: its ellipsoid,
+    # once certified on sampled boundary points only, left K_1 by 0.38%
+    code, out, err = _main_in_process(
+        "barrier", "--candidate", "heform", "--a", "1", "--b-coeffs", '{"1,0": 0.8}', "--level", "1"
+    )
+    assert code == 0, err
+    Minv = np.linalg.inv(json.loads(out)["ellipsoid_matrix"])
+    H = make_he_form(1.0, HarmonicPoly(2, {(1, 0): 0.8})).hessian_many(np.zeros((1, 3)))[0]
+    assert abs(np.linalg.eigvalsh(Minv @ H @ Minv).max() / 2.0 - 1.0) <= 1e-12
 
 
 @settings(deadline=None, max_examples=60)
