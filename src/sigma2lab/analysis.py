@@ -121,16 +121,19 @@ def _minimize_candidate(candidate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError:
             step = -g
         alpha = 1.0
-        gn = np.linalg.norm(g)
-        for _ in range(40):
-            trial = x + alpha * step
-            g = _gradient(candidate, trial[None])[0]
-            if np.linalg.norm(g) < gn:
-                x = trial
-                break
-            alpha *= 0.5
-        else:
-            raise NoInteriorPoint("minimizer search stalled; no descent step found")
+        with np.errstate(over="ignore"):  # checked here, and an overflowing trial is no descent
+            gn = np.linalg.norm(g)
+            if not math.isfinite(gn):
+                raise NoInteriorPoint(f"the gradient {g.tolist()} is too large for the minimizer search")
+            for _ in range(40):
+                trial = x + alpha * step
+                g = _gradient(candidate, trial[None])[0]
+                if np.linalg.norm(g) < gn:
+                    x = trial
+                    break
+                alpha *= 0.5
+            else:
+                raise NoInteriorPoint("minimizer search stalled; no descent step found")
     if np.abs(g).max() > 1e-8:
         raise NoInteriorPoint(
             f"minimizer search did not converge (|grad| = {np.abs(g).max():.3e})"
@@ -310,7 +313,7 @@ def _z_axis(attained_lo: float, attained_hi: float, z_span, z_count: int):
     """The z-range and its ``z_count`` nodes inside (attained_lo, attained_hi),
     the u_t range that every x-line attains.  The default range shrinks it by
     5% per side; a requested range must lie inside it, and its node spacing
-    must leave second differences room: 4 dz^2 a finite float."""
+    must leave second differences room: 4 dz^2 finite and dz^2 a normal float."""
     if attained_hi <= attained_lo:
         raise ZOutOfRange(
             "the x-lines share no common attained range of u_t; "
@@ -327,6 +330,8 @@ def _z_axis(attained_lo: float, attained_hi: float, z_span, z_count: int):
     dz = (z_span[1] - z_span[0]) / (z_count - 1)
     if not math.isfinite(4.0 * dz * dz):
         raise ZOutOfRange(f"z-range ({z_span[0]:.6g}, {z_span[1]:.6g}) is too wide for {z_count} nodes")
+    if not dz * dz >= np.finfo(float).tiny:
+        raise ZOutOfRange(f"z-range ({z_span[0]:.6g}, {z_span[1]:.6g}) is too narrow for {z_count} nodes")
     return z_span, np.linspace(z_span[0], z_span[1], z_count)
 
 
@@ -530,7 +535,10 @@ def harmonicity_test(theta: ScalarField) -> float:
 
 def _he_identities(a, x_axes, b_vals, g_vals, lap_b, lap_g, grad_b_sq, round_trip) -> dict:
     """The extracted (a, b, g) and the residuals of He's identities Lap b = 0, 2a Lap g = 1 + |grad b|^2."""
-    poisson = lap_g - (1.0 + grad_b_sq) / (2.0 * a)
+    with np.errstate(over="ignore"):
+        poisson = lap_g - (1.0 + grad_b_sq) / (2.0 * a)
+    if not np.all(np.isfinite(poisson)):
+        raise ConfigError(f"He's identity 2a Lap g = 1 + |grad b|^2 overflows at a = {a:.6g}")
     return {
         "a": a,
         "x_axes": [ax.tolist() for ax in x_axes],

@@ -23,6 +23,7 @@ point n.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable
 
 import numpy as np
@@ -70,6 +71,8 @@ class Poly:
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise ConfigError(f"bad exponent tuple {expo} for {nvars} variables")
             c = float(c)
+            if not math.isfinite(c):
+                raise ConfigError(f"polynomial coefficient of {expo} must be finite, got {c}")
             if c != 0.0:
                 clean[expo] = clean.get(expo, 0.0) + c
         self.coeffs = {e: c for e, c in clean.items() if c != 0.0}
@@ -193,7 +196,15 @@ class Poly:
 
     @classmethod
     def from_dict(cls, nvars: int, data: dict[str, float]) -> "Poly":
-        coeffs = {tuple(int(v) for v in key.split(",")): float(c) for key, c in data.items()}
+        """The polynomial of a {"i,j": coefficient} map; a malformed entry is a ConfigError."""
+        if not isinstance(data, dict):
+            raise ConfigError(f'polynomial coefficients must be a {{"i,j": value}} map, got {data!r}')
+        coeffs = {}
+        for key, c in data.items():
+            try:
+                coeffs[tuple(int(v) for v in key.split(","))] = float(c)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad polynomial coefficient entry {key!r}: {c!r}") from exc
         return cls(nvars, coeffs)
 
     def __repr__(self) -> str:
@@ -326,7 +337,11 @@ class Quadratic(CandidateSolution):
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (self.dim,):
             raise ConfigError(f"linear part must have shape ({self.dim},)")
+        if not np.all(np.isfinite(self.b)):
+            raise ConfigError(f"linear part b must be finite, got {self.b.tolist()}")
         self.c = float(c)
+        if not math.isfinite(self.c):
+            raise ConfigError(f"constant term c must be finite, got {self.c}")
         with np.errstate(over="ignore", invalid="ignore"):
             s = sigma2_tilde(self.A)
         if not abs(s - 1.0) <= 1e-10:  # NaN fails too
@@ -444,8 +459,8 @@ class HeForm(CandidateSolution):
 
     def __init__(self, a: float, b: Poly, g: Poly):
         a = float(a)
-        if not (a > 0.0 and np.isfinite(a)):
-            raise ConfigError(f"the t^2 coefficient a must be positive, got {a}")
+        if not (a > 0.0 and math.isfinite(2.0 * a)):  # u_tt = 2a
+            raise ConfigError(f"the t^2 coefficient a must be positive with 2a finite, got {a}")
         if b.nvars != g.nvars or b.nvars not in (1, 2):
             raise ConfigError("b and g must share 1 or 2 transverse variables")
         if not b.is_harmonic():
@@ -528,8 +543,8 @@ def make_he_form(a: float, b: Poly) -> HeForm:
     with rho^2 = |x|^2 and nu the number of transverse variables.
     """
     a = float(a)
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ConfigError(f"the t^2 coefficient a must be positive, got {a}")
+    if not (a > 0.0 and math.isfinite(2.0 * a)):  # u_tt = 2a
+        raise ConfigError(f"the t^2 coefficient a must be positive with 2a finite, got {a}")
     if not b.is_harmonic():
         raise ConfigError("b must be harmonic")
     rhs = (1.0 / (2.0 * a)) * (Poly.constant(b.nvars, 1.0) + b.grad_sq())
@@ -590,7 +605,7 @@ def candidate_from_dict(data: dict) -> CandidateSolution:
             b = Poly.from_dict(nvars, data["b"])
             g = Poly.from_dict(nvars, data["g"])
             return HeForm(float(data["a"]), b, g)
-    except (TypeError, KeyError, ValueError, AttributeError) as exc:
+    except (TypeError, KeyError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"malformed {variant!r} candidate description: {exc!r}") from exc
     raise ConfigError(f"unknown candidate variant {variant!r}")
 

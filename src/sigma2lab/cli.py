@@ -90,6 +90,12 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"bad vector {text!r}") from exc
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _check_tol(tol: float, flag: str = "--tol") -> None:
     """A check's --tol (or other bound ``flag``): finite and non-negative, so
     the verdict and the JSON report stay meaningful."""
@@ -173,7 +179,12 @@ def _emit(args, subcommand: str, checks: list[dict], payload: dict) -> int:
     report = {
         "subcommand": subcommand,
         "tool": {"name": "sigma2lab", "version": __version__},
-        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        # an option the subcommand does not read goes unchecked, and JSON has
+        # no NaN or Infinity: such a value is echoed as its text
+        "config": {
+            k: str(v) if isinstance(v, float) and not np.isfinite(v) else v
+            for k, v in vars(args).items() if k != "func"
+        },
         "seed": args.seed,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
@@ -265,7 +276,7 @@ def cmd_verify(args) -> int:
     )
     if len(box) != dim:
         raise ConfigError(f"--box has {len(box)} spans but the candidate has dim {dim}")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     pts = _sample_box(rng, box, args.points)
     res = cand.residual_many(pts)
     worst = float(np.abs(res).max())
@@ -287,7 +298,7 @@ def cmd_verify(args) -> int:
 def cmd_curvature(args) -> int:
     _check_tol(args.tol)
     cand = _load_candidate(args)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     box = [(-1.0, 1.0)] * 4
     sample = _sample_box(rng, box, args.sample)
     batch = kahler.metric_batch(cand, sample)

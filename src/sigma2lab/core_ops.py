@@ -83,6 +83,8 @@ class Grid:
             h = (hi - lo) / (m - 1)
             if not math.isfinite(4.0 * h * h):  # the largest stencil divisor
                 raise ConfigError(f"axis ({lo}, {hi}) with {m} nodes is too wide: 4 h^2 overflows")
+            if not h * h >= np.finfo(float).tiny:  # the smallest stencil divisor
+                raise ConfigError(f"axis ({lo}, {hi}) with {m} nodes is too narrow: h^2 underflows")
 
     @property
     def dim(self) -> int:

@@ -25,12 +25,12 @@ The V-cycle levels are the ladder of ``_coarsen_levels``, the same one the
 auto start refines along: every grid has one.  Each axis halves its node
 count, m -> ceil(m/2), while that leaves at least 5 nodes, so the coarsest
 level has at most 8 nodes per axis.  Coarse operators are the Galerkin
-products R (J P), with P the tensor product of linear interpolation of
-interior corrections (zero on the boundary) at the fine node positions and
-R = P^T; an odd dyadic count (2m - 1 from m) gives the classic weights 1 and
-1/2, any other count a non-nested transfer.  The fine level and the levels
-with only nested transfers above them smooth with damped Jacobi; a level
-below a non-nested transfer smooths with l1-Jacobi.  The coarsest level, at
+products R (J P), with R = P^T and P the tensor product of the interior
+blocks of the linear interpolation tables that the auto start's spline
+shares (``_linear_read_off``).  An odd dyadic count (2m - 1 from m) gives
+the weights 1 and 1/2, any other a non-nested transfer.  The fine level and
+the levels that ``_prolongations`` finds only nested transfers above smooth
+with damped Jacobi, the others with l1-Jacobi.  The coarsest level, at
 most 6^d unknowns (216 in 3D), is inverted densely once per V-cycle set-up
 and applied as a matrix-vector product.  Every solve must reach relative
 residual 1e-10 or raise LinearSolveFailure.
@@ -53,10 +53,10 @@ coarser level's solution.  The coarsest level starts from a family member
 with u_tt > 0, its cone entry: u_tt of u_harmonic + c*w is affine in c at
 every node, so the c with u_tt > 0 everywhere form one interval, read off in
 closed form.  Each level's solution reaches the next, finer one through the
-tensor-product not-a-knot cubic spline read off at the finer nodes, one
-small dense matrix per axis (``_spline_eval``); the coarse levels' boundary
-data is the fine data read off the same way.  A level where that
-prolongation breaks u_tt > 0 starts from its own cone entry instead.
+tensor-product not-a-knot cubic spline read off at the finer nodes: per
+axis the linear table less the spline's moment correction (``_spline_eval``).
+The coarse levels' boundary data is the fine data read off the same way.  A
+level where that prolongation breaks u_tt > 0 starts from its cone entry.
 """
 
 from __future__ import annotations
@@ -208,59 +208,57 @@ def _min_u11(values: np.ndarray, spacing) -> float:
     return float(second_diff(values, 0, spacing[0]).min())
 
 
-def _prolongation_1d(fine: int, coarse: int) -> sp.csr_matrix:
-    """Linear interpolation from the coarse to the fine interior nodes of one
-    axis, read off at the fine node positions i (coarse - 1) / (fine - 1) in
-    coarse index units; the identity when the counts are equal.
+def _linear_read_off(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear interpolation through m equispaced nodes read off at n equispaced
+    nodes of the same interval: the dense (n, m) matrix, and the position
+    i (m - 1) / (n - 1) = j + theta in node units that its row i reads off at.
+    n = 2m - 1 gives the exact weights 1 and 1/2, n = m the exact identity."""
+    pos = np.arange(n) * (m - 1) / (n - 1)
+    j = np.minimum(np.floor(pos).astype(np.intp), m - 2)
+    theta = pos - j
+    out = np.zeros((n, m))
+    out[np.arange(n), j] = 1.0 - theta
+    out[np.arange(n), j + 1] = theta
+    return out, j, theta
 
-    For a nested pair (fine = 2 coarse - 1) the positions are exact halves, so
-    the weights are exactly 1 and 1/2.  Legs onto the coarse boundary nodes are
-    dropped: corrections vanish there.
-    """
-    if fine == coarse:
-        return sp.identity(fine - 2, format="csr")
-    pos = np.arange(1, fine - 1) * (coarse - 1) / (fine - 1)
-    left = np.floor(pos).astype(np.intp)
-    theta = pos - left
-    rows = np.concatenate([np.arange(fine - 2)] * 2)
-    cols = np.concatenate([left, left + 1]) - 1
-    vals = np.concatenate([1.0 - theta, theta])
-    keep = (vals != 0.0) & (cols >= 0) & (cols < coarse - 2)
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(fine - 2, coarse - 2))
+
+def _prolongation_1d(fine: int, coarse: int) -> sp.csr_matrix:
+    """Linear interpolation from the coarse to the fine interior nodes of one axis:
+    the interior block of ``_linear_read_off``, as corrections vanish on the boundary."""
+    return sp.csr_matrix(_linear_read_off(coarse, fine)[0][1:-1, 1:-1])
 
 
 @lru_cache(maxsize=8)
-def _prolongations(shape: tuple[int, ...]) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
-    """Tensor-product prolongations P up the ladder of ``_coarsen_levels``,
-    coarse first, each paired with its restriction P^T in CSR form."""
+def _prolongations(shape: tuple[int, ...]):
+    """Tensor-product prolongations P up the ladder of ``_coarsen_levels``, coarse
+    first, each paired with its restriction P^T in CSR form; and for each level
+    above the coarsest whether every transfer above it is nested (2m - 1 or m nodes from m)."""
     levels = _coarsen_levels(shape)
-    out = []
-    for coarse, fine in zip(levels, levels[1:]):
+    transfers, nested = [], [True]  # nothing lies above the fine level
+    for coarse, fine in zip(levels[-2::-1], levels[:0:-1]):  # from the fine end down
         P = _prolongation_1d(fine[0], coarse[0])
         for f, c in zip(fine[1:], coarse[1:]):
             P = sp.kron(P, _prolongation_1d(f, c), format="csr")
-        out.append((P, P.T.tocsr()))
-    return tuple(out)
-
-
-def _nested(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
-    """Whether every coarse node of the pair is a fine node."""
-    return all(f in (c, 2 * c - 1) for f, c in zip(fine, coarse))
+        transfers.insert(0, (P, P.T.tocsr()))
+        nested.insert(0, nested[0] and all(f in (c, 2 * c - 1) for f, c in zip(fine, coarse)))
+    return tuple(transfers), tuple(nested[1:])
 
 
 def _v_cycle(mat: sp.spmatrix, shape: tuple[int, ...]):
     """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual.
 
-    The fine level and every level with only nested transfers above it smooth
-    with damped Jacobi.  A level below a non-nested transfer smooths with
+    Each level's smoother follows the nestedness that ``_prolongations``
+    states: the fine level and every level with only nested transfers above
+    it smooth with damped Jacobi, a level below a non-nested transfer with
     l1-Jacobi, weight sign(a_ii) / sum_j |a_ij| (Baker, Falgout, Kolev & Yang,
     *SIAM J. Sci. Comput.* 2011).  The Galerkin levels have a spectral radius
     of D^-1 A near 3, and near 3.9 below a non-nested transfer, so the damped
     sweep amplifies their highest modes: harmless on nested ladders, but below
-    a non-nested transfer the V-cycle count then grows with depth.  l1-Jacobi
-    on every coarse level costs one V-cycle on nested ladders instead.
+    a non-nested transfer the V-cycle count grows with depth (34 against 29
+    at 40^3).  l1-Jacobi on every coarse level costs a V-cycle on nested
+    ladders instead (23 against 22 at 25^3).
     """
-    transfers = _prolongations(shape)
+    transfers, nested = _prolongations(shape)
     ops = [mat]
     for P, R in reversed(transfers):
         ops.insert(0, R @ (ops[0] @ P))
@@ -268,16 +266,12 @@ def _v_cycle(mat: sp.spmatrix, shape: tuple[int, ...]):
         coarsest = np.linalg.inv(ops[0].toarray())
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(f"coarsest-level inverse failed: {exc}") from exc
-    levels = _coarsen_levels(shape)
     weights = []
-    for k, A in enumerate(ops[1:], start=1):
+    for A, damped in zip(ops[1:], nested):
         diag = A.diagonal()
         if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
             raise LinearSolveFailure("Jacobi smoother needs a finite, nonzero diagonal")
-        if all(_nested(fine, coarse) for coarse, fine in zip(levels[k:], levels[k + 1 :])):
-            weights.append(_JACOBI_WEIGHT / diag)
-        else:
-            weights.append(np.sign(diag) / (abs(A) @ np.ones(A.shape[0])))
+        weights.append(_JACOBI_WEIGHT / diag if damped else np.sign(diag) / (abs(A) @ np.ones(A.shape[0])))
 
     # a module-level function, not a recursive closure: a closure that calls
     # itself is a reference cycle, and would keep the whole hierarchy (the
@@ -504,8 +498,9 @@ def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=16)
 def _spline_eval(m: int, n: int) -> np.ndarray:
     """Not-a-knot cubic spline through m equispaced nodes, read off at n
-    equispaced nodes of the same interval, as a dense read-only (n, m) matrix;
-    the identity when n = m.
+    equispaced nodes of the same interval, as a dense read-only (n, m) matrix:
+    the linear read-off of ``_linear_read_off`` minus a moment correction,
+    which vanishes where theta is 0 or 1, so n = m gives exactly the identity.
 
     In unit spacing the moments M_j = s''(x_j) solve M_{j-1} + 4 M_j + M_{j+1}
     = 6 (y_{j-1} - 2 y_j + y_{j+1}) at the inner nodes, and not-a-knot asks
@@ -514,10 +509,6 @@ def _spline_eval(m: int, n: int) -> np.ndarray:
     (1 - theta) y_j + theta y_{j+1} - theta (1 - theta) [(2 - theta) M_j + (1 + theta) M_{j+1}] / 6.
     The spacing cancels, so one matrix serves every axis with these counts.
     """
-    if n == m:
-        out = np.eye(m)
-        out.flags.writeable = False
-        return out
     inner = np.arange(1, m - 1)
     lhs = np.zeros((m, m))
     rhs = np.zeros((m, m))
@@ -526,34 +517,23 @@ def _spline_eval(m: int, n: int) -> np.ndarray:
         rhs[inner, inner + off] = b
     lhs[0, :3] = lhs[-1, -3:] = (1.0, -2.0, 1.0)
     moments = np.linalg.solve(lhs, rhs)  # M = moments @ y
-    nodes = np.eye(m)
-    pos = np.arange(n) * (m - 1) / (n - 1)
-    j = np.minimum(np.floor(pos).astype(np.intp), m - 2)
-    theta = (pos - j)[:, None]
-    out = (
-        (1.0 - theta) * nodes[j]
-        + theta * nodes[j + 1]
-        - theta * (1.0 - theta) * ((2.0 - theta) * moments[j] + (1.0 + theta) * moments[j + 1]) / 6.0
-    )
+    out, j, theta = _linear_read_off(m, n)
+    theta = theta[:, None]
+    out -= theta * (1.0 - theta) * ((2.0 - theta) * moments[j] + (1.0 + theta) * moments[j + 1]) / 6.0
     out.flags.writeable = False
     return out
-
-
-def _prolong(coarse: ScalarField, fine_grid: Grid) -> np.ndarray:
-    """Tensor-product not-a-knot cubic interpolant of ``coarse`` at the nodes of
-    ``fine_grid``, a grid of the same dimension and any node counts.
-
-    Cubic, not linear: the fine-grid second differences of a piecewise-linear
-    interpolant vanish at inserted nodes, which would violate the u_tt > 0 guard.
-    """
-    return _resample(coarse.values, fine_grid.shape)
 
 
 def _resample(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The tensor-product not-a-knot spline through the node values ``vals``
     read off at ``shape`` equispaced nodes of the same box.  The end nodes of
     every axis are read off exactly, so each face of the result is the spline
-    within the same face of ``vals``."""
+    within the same face of ``vals``.
+
+    Cubic, not linear: the second differences of a piecewise-linear
+    interpolant vanish at inserted nodes, which would break the auto start's
+    u_tt > 0 guard.
+    """
     for axis, (m, n) in enumerate(zip(vals.shape, shape)):
         vals = np.moveaxis(np.tensordot(_spline_eval(m, n), vals, axes=(1, axis)), 0, axis)
     return np.ascontiguousarray(vals)
@@ -582,7 +562,7 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
         else:
             level = DirichletProblem(g, ScalarField(g, _resample(fine_b, shape)))
         if u is not None:
-            vals = _prolong(u, g)
+            vals = _resample(u.values, shape)
             mask = g.boundary_mask()
             vals[mask] = level.boundary.values[mask]
         if u is None or _min_u11(vals, g.spacing) <= 0.0:

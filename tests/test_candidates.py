@@ -294,6 +294,22 @@ def test_candidate_from_dict_rejects_unknown_variant():
         candidate_from_dict({})
 
 
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"x": 1}, "entry 'x'"),
+        ([1], "map"),
+        ({"1,0": "a"}, "entry '1,0'"),
+        ({"1,0": None}, "entry '1,0'"),
+        ({"1,0": float("inf")}, r"\(1, 0\) must be finite"),
+        ({"0,1": "nan"}, r"\(0, 1\) must be finite"),
+    ],
+)
+def test_poly_from_dict_names_the_bad_entry(data, match):
+    with pytest.raises(ConfigError, match=match):
+        Poly.from_dict(2, data)
+
+
 def test_quadratic_rejects_wrong_normalization():
     with pytest.raises(ConfigError):
         Quadratic(np.eye(3))  # sigma2_tilde = 2

@@ -534,6 +534,32 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         # g00 g11 and |g01|^2 cancel to det g = 1/16 and leave rounding
         # noise, which was once reported as det_g = 0.125 with exit 0
         ["curvature", "--candidate", "counterexample", "--points", "18,0,1,0"],
+        # a malformed --b-coeffs map once ended in a ValueError, AttributeError
+        # or TypeError traceback from the coefficient parser
+        ["verify", "--candidate", "heform", "--b-coeffs", '{"x": 1}'],
+        ["verify", "--candidate", "heform", "--b-coeffs", "[1]"],
+        ["verify", "--candidate", "heform", "--b-coeffs", '{"1,0": "a"}'],
+        ["verify", "--candidate", "heform", "--b-coeffs", '{"1,0": null}'],
+        # non-finite coefficients were once accepted: a NaN b passed classify,
+        # a NaN c was blamed on the sublevel set, an infinite b passed verify
+        ["classify", "--candidate", "quadratic", "--A", "1,0;0,1", "--b", "nan,0"],
+        ["barrier", "--candidate", "quadratic", "--A", "1,0;0,1", "--c", "nan"],
+        ["verify", "--candidate", "quadratic", "--A", "1,0;0,1", "--b", "inf,0"],
+        ["verify", "--candidate", "heform", "--b-coeffs", '{"1,0": 1e400}'],
+        # found by test_cli_ends_every_call_in_an_exit_code: a negative seed
+        # ended in a ValueError traceback from numpy; u_tt = 2a = inf wrote a
+        # bare NaN oscillation; a z or x spacing whose square underflows
+        # divided by zero; a gradient whose norm overflows printed a
+        # RuntimeWarning ahead of the message; a subnormal a (u_tt at the
+        # origin, a He-form only by the huge tol) wrote an infinite Poisson residual
+        ["verify", "--candidate", "counterexample", "--seed=-1"],
+        ["classify", "--candidate", "heform", "--a=1e308", "--b-coeffs={}"],
+        ["legendre", "--candidate", "heform", "--a=1e-300", "--b-coeffs={}", "--dim=2"],
+        ["solve", "--candidate", "quadratic", "--grid=3,0..1e-160,9"],
+        ["barrier", "--candidate", "counterexample", "--kappa=1e300"],
+        ["classify", "--candidate", "counterexample", "--tol=1e216", "--kappa=1e-320"],
+        # an infinite variable count once raised OverflowError from int()
+        ["verify", "--candidate", '{"variant": "he_form", "a": 1, "nvars": -Infinity, "b": {}, "g": {}}'],
     ],
     ids=[
         "sizes-a", "sizes-one", "h-0", "h-nan", "h-list-a", "h-list-zero",
@@ -550,10 +576,30 @@ _HE_FORM_BAD_KEY = {"variant": "he_form", "a": 0.5, "nvars": 2, "b": {"x": 1.0},
         "legendre-z-spacing-overflow", "legendre-x-spacing-overflow",
         "verify-kappa-split-overflow", "curvature-exp-overflow", "curvature-metric-overflow",
         "curvature-det-lost-to-rounding",
+        "b-coeffs-key-x", "b-coeffs-list", "b-coeffs-text", "b-coeffs-null",
+        "quadratic-b-nan", "quadratic-c-nan", "quadratic-b-inf", "b-coeffs-inf",
+        "seed-negative", "heform-a-huge", "legendre-z-spacing-underflow", "grid-spacing-underflow",
+        "barrier-gradient-overflow", "classify-poisson-overflow", "json-nvars-inf",
     ],
 )
 def test_malformed_input_is_a_config_error(argv):
     _assert_config_error(_run_module(*argv))
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["classify", "--candidate", "quadratic", "--A", "1,0;0,1", "--b", "nan,0"], "linear part b"),
+        (["barrier", "--candidate", "quadratic", "--A", "1,0;0,1", "--c", "nan"], "constant term c"),
+        (["verify", "--candidate", "quadratic", "--A", "1,0;0,1", "--b", "inf,0"], "linear part b"),
+        (["verify", "--candidate", "heform", "--b-coeffs", '{"1,0": 1e400}'], "coefficient of (1, 0)"),
+    ],
+    ids=["quadratic-b-nan", "quadratic-c-nan", "quadratic-b-inf", "b-coeffs-inf"],
+)
+def test_non_finite_coefficient_is_refused_by_name(argv, field):
+    code, out, err = _main_in_process(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error:") and f"{field} must be finite" in err
 
 
 def test_zero_max_iter_stays_a_solver_failure():
@@ -691,6 +737,108 @@ def test_barrier_chain_is_scale_free(level):
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+# malformed and extreme values for the --opt=value form; every size stays
+# small (at most 9 nodes per axis, at most 2000 points) so no example allocates much
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-320", "1e-300", "1e300", "1e308", "1e400", "0.5"]),
+    st.floats().map(repr),
+)
+_GARBAGE = st.text(alphabet="0123456789.,;:-+eE naif{}[]\"", max_size=12)
+
+
+def _joined(part, sep, lo, hi):
+    return st.lists(part, min_size=lo, max_size=hi).map(sep.join)
+
+
+_SPAN = st.one_of(st.tuples(_NUMBER, _NUMBER).map("..".join), _GARBAGE)
+_SPANS = st.one_of(_joined(st.tuples(_NUMBER, _NUMBER).map("..".join), ",", 1, 4), _GARBAGE)
+_VECTOR = st.one_of(_joined(_NUMBER, ",", 1, 4), _GARBAGE)
+_MATRIX = st.one_of(
+    _joined(_joined(_NUMBER, ",", 1, 4), ";", 1, 4), st.sampled_from(["1,0;0,1", "1,0,0;0,0.5,0;0,0,0.5"])
+)
+_NODES = st.integers(-1, 9).map(str)
+_GRID = st.one_of(
+    st.tuples(st.integers(0, 4).map(str), _SPAN, _NODES).map(",".join),
+    _joined(st.tuples(_SPAN, _NODES).map(":".join), ",", 1, 4),
+    _GARBAGE,
+)
+_JSON_VALUE = st.one_of(st.floats(), st.sampled_from(["a", "nan", None, [1], {}]))
+_COEFF_MAP = st.dictionaries(
+    st.sampled_from(["0,0", "1,0", "0,1", "2,0", "0,2", "1,1", "3,0", "9,0", "1,0,0", "-1,0", "x", "1"]),
+    _JSON_VALUE,
+    max_size=3,
+)
+_B_COEFFS = st.one_of(
+    _COEFF_MAP.map(json.dumps), st.sampled_from(["[1]", "1", "null", '"x"', "{", "{}"]), _GARBAGE
+)
+# inline JSON descriptions, with any field missing or malformed
+_CANDIDATE_JSON = st.fixed_dictionaries(
+    {"variant": st.sampled_from(["quadratic", "counterexample", "he_form", "x"])},
+    optional={
+        "A": st.one_of(st.lists(st.lists(_JSON_VALUE, max_size=3), max_size=3), _JSON_VALUE),
+        "b": st.one_of(st.lists(_JSON_VALUE, max_size=3), _COEFF_MAP, _JSON_VALUE),
+        "g": st.one_of(_COEFF_MAP, _JSON_VALUE),
+        "nvars": st.one_of(st.sampled_from([1, 2, 3, "2"]), _JSON_VALUE),
+        "c": _JSON_VALUE, "kappa": _JSON_VALUE, "a": _JSON_VALUE,
+    },
+).map(json.dumps)
+_CANDIDATE_OPTIONS = {
+    "counterexample": {"kappa": _NUMBER},
+    "quadratic": {"A": _MATRIX, "b": _VECTOR, "c": _NUMBER, "dim": st.sampled_from("23")},
+    "heform": {"a": _NUMBER, "b-coeffs": _B_COEFFS, "dim": st.sampled_from("23")},
+}
+_SIZE = st.integers(-2, 2000).map(str)
+_COMMAND_OPTIONS = {
+    "verify": {"box": _SPANS, "points": _SIZE, "tol": _NUMBER},
+    "curvature": {"points": _joined(_VECTOR, ";", 1, 3), "sample": _SIZE, "tol": _NUMBER},
+    "barrier": {"level": _NUMBER, "samples": _SIZE},
+    "legendre": {
+        "t-span": _SPAN, "x-spans": _SPANS, "shape": _joined(_NODES, ",", 1, 3), "z-span": _SPAN,
+        "z-count": _NODES, "tol": _NUMBER,
+    },
+    "classify": {"tol": _NUMBER},
+    "solve": {"tol": _NUMBER, "max-iter": st.integers(-2, 60).map(str)},
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    tag = draw(st.sampled_from([*sorted(_CANDIDATE_OPTIONS), "json"]))
+    options = {**_COMMAND_OPTIONS[command], **_CANDIDATE_OPTIONS.get(tag, {})}
+    options["seed"] = st.integers(-3, 2**40).map(str)
+    argv = [command, f"--candidate={draw(_CANDIDATE_JSON) if tag == 'json' else tag}"]
+    if command == "solve":
+        argv.append(f"--grid={draw(_GRID)}")
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=4)):
+        argv.append(f"--{name}={draw(options[name])}")
+    if command == "curvature" and draw(st.booleans()):
+        argv.append("--rescaled")
+    return argv
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(_cli_calls())
+@example(["verify", "--candidate=heform", '--b-coeffs={"x": 1}'])
+def test_cli_ends_every_call_in_an_exit_code(argv):
+    # in process, so an escaping exception (a RuntimeWarning included) fails
+    # the test rather than ending in exit 1; exit 1 means a check failed
+    code, out, _ = _main_in_process(*argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        doc = json.loads(out, parse_constant=_reject_constant)  # no bare NaN or Infinity
+        assert doc["pass"] is (code == 0)
+
+
+def test_unread_non_finite_option_is_echoed_as_text():
+    # the round quadratic reads neither --kappa nor --c; their values once
+    # reached report.json as bare NaN and Infinity
+    code, out, err = _main_in_process("barrier", "--candidate", "quadratic", "--kappa=nan", "--c=-inf")
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert (doc["config"]["kappa"], doc["config"]["c"]) == ("nan", "-inf")
+
+
 def test_closed_form_subcommands_never_load_scipy():
     script = """
 import contextlib, io, sys
@@ -747,19 +895,20 @@ import contextlib, io, sys
 from sigma2lab import solver
 from sigma2lab.cli import main
 calls = []
-prolong = solver._prolong
-solver._prolong = lambda *args: calls.append(1) or prolong(*args)
+resample = solver._resample
+solver._resample = lambda vals, shape: calls.append((vals.shape[0], shape[0])) or resample(vals, shape)
 unused = ["scipy.interpolate", "scipy.sparse.linalg", "scipy.linalg", "scipy.fft"]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["solve", "--candidate", "counterexample", "--grid", "3,-1..1,21"]) == 0
-print(len(calls), [m for m in unused if m in sys.modules])
+print(calls, [m for m in unused if m in sys.modules])
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["rigidity", "--candidate", "quadratic", "--sizes", "1,2"]) == 0
 print([m for m in unused if m in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "2 []\n[]\n"
+    # the boundary data of 6^3 and 11^3, then the two prolongations
+    assert proc.stdout == "[(21, 6), (21, 11), (6, 11), (11, 21)] []\n[]\n"
 
 
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):

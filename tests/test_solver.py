@@ -195,7 +195,8 @@ def test_table_jacobian_is_bit_identical_to_the_literal_entry_list(name, scale):
 @pytest.mark.parametrize("shape", [(21, 21, 21), (33, 17, 9)], ids=["cube21", "box33x17x9"])
 def test_cached_restriction_is_the_transposed_prolongation(shape):
     rng = np.random.default_rng(5)
-    for P, R in solver._prolongations(shape):
+    transfers, _ = solver._prolongations(shape)
+    for P, R in transfers:
         r = rng.normal(size=P.shape[0])
         np.testing.assert_array_equal(R @ r, P.T @ r)
 
@@ -231,7 +232,9 @@ def _first_newton_system(m):
 
 def test_multigrid_solve_matches_direct_solve_on_newton_path():
     g, J, rhs = _first_newton_system(25)
-    assert len(solver._prolongations(g.shape)) == 2  # three levels: 7^3, 13^3, 25^3
+    transfers, nested = solver._prolongations(g.shape)
+    assert len(transfers) == 2  # three levels: 7^3, 13^3, 25^3
+    assert nested == (True, True)  # both transfers are nested: damped Jacobi on 13^3 and 25^3
     x = solver._solve_sparse(J, rhs, g)
     direct = spla.splu(J.tocsc()).solve(rhs)
     assert _relres(J, x, rhs) <= 1e-10
@@ -241,7 +244,9 @@ def test_multigrid_solve_matches_direct_solve_on_newton_path():
 def test_even_node_grid_solves_on_a_two_level_ladder():
     g = cube(-1.0, 1.0, 10)
     assert solver._coarsen_levels(g.shape) == [(5, 5, 5), (10, 10, 10)]
-    assert len(solver._prolongations(g.shape)) == 1
+    transfers, nested = solver._prolongations(g.shape)
+    assert len(transfers) == 1
+    assert nested == (True,)  # the fine level smooths with damped Jacobi all the same
     rng = np.random.default_rng(3)
     u = ScalarField.sample(g, Quadratic.standard(3))
     u.values += 0.01 * rng.normal(size=g.shape)
@@ -265,6 +270,37 @@ def test_prolongation_is_linear_interpolation_at_the_fine_nodes(fine, coarse):
     np.testing.assert_allclose(P @ c[1:-1], want, rtol=0.0, atol=1e-14)
     if fine == 2 * coarse - 1:
         np.testing.assert_array_equal(np.unique(P.data), [0.5, 1.0])
+
+
+def _literal_prolongation_1d(fine, coarse):
+    # linear weights 1 - theta and theta at the fine positions
+    # i (coarse - 1) / (fine - 1), zero weights and legs onto the coarse
+    # boundary dropped, built entry by entry
+    pos = np.arange(1, fine - 1) * (coarse - 1) / (fine - 1)
+    left = np.floor(pos).astype(np.intp)
+    theta = pos - left
+    rows = np.concatenate([np.arange(fine - 2)] * 2)
+    cols = np.concatenate([left, left + 1]) - 1
+    vals = np.concatenate([1.0 - theta, theta])
+    keep = (vals != 0.0) & (cols >= 0) & (cols < coarse - 2)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(fine - 2, coarse - 2))
+
+
+@pytest.mark.parametrize("fine, coarse", [(9, 5), (25, 13), (10, 5), (64, 32), (81, 41), (7, 5), (5, 5)])
+def test_prolongation_is_bit_identical_to_the_literal_entry_list(fine, coarse):
+    got, want = solver._prolongation_1d(fine, coarse), _literal_prolongation_1d(fine, coarse)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+def test_spline_read_off_at_its_own_nodes_is_exactly_the_identity():
+    # theta is 0 or 1 at every row, so the moment correction vanishes exactly
+    for m in range(5, 41):
+        S = solver._spline_eval(m, m)
+        assert np.array_equal(S, np.eye(m)), m
+        assert not np.signbit(S).any(), m  # no -0.0 either
 
 
 @pytest.mark.parametrize("m", [10, 25])
@@ -451,7 +487,7 @@ def test_prolong_reproduces_a_tensor_cubic(bounds, shape, fine_shape):
     coarse = Grid(bounds, shape)
     fine = Grid(bounds, fine_shape)
     want = ScalarField.from_callable(fine, _tensor_cubic).values
-    got = solver._prolong(ScalarField.from_callable(coarse, _tensor_cubic), fine)
+    got = solver._resample(ScalarField.from_callable(coarse, _tensor_cubic).values, fine.shape)
     assert got.shape == fine.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -527,28 +563,33 @@ def test_seam_redo_restarts_from_the_cone_entry_and_still_converges(monkeypatch)
     g = cube(-1.0, 1.0, 25)
     problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
     clean = newton_solve(problem)
-    prolong, cone_entry, newton = solver._prolong, solver._cone_entry, solver.newton_solve
-    dented, entries, solves = [], [], []
+    resample, cone_entry, newton = solver._resample, solver._cone_entry, solver.newton_solve
+    dented, entries, solves, calls = [], [], [], []
 
-    def dent(coarse, fine_grid):
-        vals = prolong(coarse, fine_grid)
-        if not dented:
-            vals[6, 6, 6] += 1.0
-            dented.append(fine_grid.shape)
-        return vals
+    def dent(vals, shape):
+        # the first read-off of a coarse solution; the coarse boundary data is
+        # read off the fine grid
+        calls.append((vals.shape, shape))
+        out = resample(vals, shape)
+        if vals.shape != g.shape and not dented:
+            out[6, 6, 6] += 1.0
+            dented.append(shape)
+        return out
 
     def recorded_newton(*args, **kwargs):
         rep = newton(*args, **kwargs)
         solves.append(rep.iterations)
         return rep
 
-    monkeypatch.setattr(solver, "_prolong", dent)
+    monkeypatch.setattr(solver, "_resample", dent)
     monkeypatch.setattr(
         solver, "_cone_entry", lambda g, family: entries.append(g.shape) or cone_entry(g, family)
     )
     monkeypatch.setattr(solver, "newton_solve", recorded_newton)
     rep = solver.newton_solve(problem)
     assert dented == [(13, 13, 13)] and entries == [(7, 7, 7), (13, 13, 13)]
+    c7, c13, c25 = (7,) * 3, (13,) * 3, (25,) * 3
+    assert calls == [(c25, c7), (c25, c13), (c7, c13), (c13, c25)]
     assert rep.converged
     # no Newton call re-solves a converged level
     assert all(iters > 0 for iters in solves)
