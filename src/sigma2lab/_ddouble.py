@@ -10,6 +10,8 @@ are taken.
 
 Only the handful of operations the residual paths need are provided.  All
 functions broadcast like the underlying numpy ufuncs and accept scalars.
+The products take a caller's ``split`` of an operand, so an operand that a
+caller multiplies many times is split once; the result is the same.
 """
 
 from __future__ import annotations
@@ -25,22 +27,34 @@ def two_sum(a, b):
     """Error-free sum: returns (s, err) with s = fl(a+b) and s + err = a + b."""
     s = a + b
     bb = s - a
-    err = (a - (s - bb)) + (b - bb)
+    # (a - (s - bb)) + (b - bb), summed in place: the same digits, one
+    # temporary fewer (a float sum is commutative bit for bit)
+    err = b - bb
+    err += a - (s - bb)
     return s, err
 
 
-def _split(a):
+def split(a):
+    """Dekker's split: (hi, lo) with hi + lo = a and 26-bit halves."""
     c = _SPLITTER * a
     hi = c - (c - a)
     return hi, a - hi
 
 
-def two_prod(a, b):
-    """Error-free product: returns (p, err) with p = fl(a*b) and p + err = a * b."""
+def two_prod(a, b, sa=None, sb=None):
+    """Error-free product: returns (p, err) with p = fl(a*b) and p + err = a * b.
+
+    ``sa`` and ``sb`` are ``split(a)`` and ``split(b)`` when the caller has them.
+    """
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    ah, al = split(a) if sa is None else sa
+    bh, bl = split(b) if sb is None else sb
+    # ((ah bh - p) + ah bl + al bh) + al bl, each sum in place
+    err = ah * bh
+    err -= p
+    err += ah * bl
+    err += al * bh
+    err += al * bl
     return p, err
 
 
@@ -60,15 +74,16 @@ def dd_sub(x, y):
     return dd_add(x, (-y[0], -y[1]))
 
 
-def dd_mul(x, y):
-    ph, pl = two_prod(x[0], y[0])
+def dd_mul(x, y, sx=None, sy=None):
+    """x * y; ``sx`` and ``sy`` are the splits of the high parts x[0] and y[0]."""
+    ph, pl = two_prod(x[0], y[0], sx, sy)
     pl = pl + (x[0] * y[1] + x[1] * y[0])
     return two_sum(ph, pl)
 
 
-def dd_mul_d(x, a):
-    """Multiply a double-double by an exact double."""
-    ph, pl = two_prod(x[0], a)
+def dd_mul_d(x, a, sx=None, sa=None):
+    """Multiply a double-double by an exact double; ``sx`` splits x[0], ``sa`` a."""
+    ph, pl = two_prod(x[0], a, sx, sa)
     pl = pl + x[1] * a
     return two_sum(ph, pl)
 
@@ -80,18 +95,8 @@ def dd_add_d(x, a):
 
 
 def dd_sq(x):
-    return dd_mul(x, x)
-
-
-def dd_pow_int(base, k: int):
-    """base**k for a plain float/array base and small non-negative integer k."""
-    if k == 0:
-        b = np.asarray(base, dtype=float)
-        return np.ones_like(b), np.zeros_like(b)
-    acc = dd(base)
-    for _ in range(k - 1):
-        acc = dd_mul_d(acc, np.asarray(base, dtype=float))
-    return acc
+    s = split(x[0])
+    return dd_mul(x, x, s, s)
 
 
 def dd_to_float(x):

@@ -178,12 +178,12 @@ def _axis_crossings(value, gradient, xstar: np.ndarray, dirs: np.ndarray, h: flo
             s = np.where(searching & (grow | ~crossed), trial, s)  # ends at p
             searching &= ~crossed
     q = np.where(grow, 0.5 * s, np.minimum(1.0, 4.0 * s))
-    return q * _bracketed_roots(
-        lambda r: f(r * q),
-        lambda r: q * (gradient(points(r * q)) * dirs).sum(axis=1),
-        np.zeros_like(q),
-        np.where(grow, 2.0, 1.0),
-    )
+
+    def f_df(r: np.ndarray):
+        pts = points(r * q)
+        return value(pts) - h, q * (gradient(pts) * dirs).sum(axis=1)
+
+    return q * _bracketed_roots(f_df, np.zeros_like(q), np.where(grow, 2.0, 1.0))
 
 
 @dataclass
@@ -394,9 +394,7 @@ def _legendre_from_candidate(cand, t_span, x_spans, shape, z_span, z_count):
     # k of the (z, x) grid in C order sits at z[k // n_lines], x_pts[k % n_lines].
     for start in range(0, t.size, _ROOT_BLOCK):
         node = np.arange(start, min(start + _ROOT_BLOCK, t.size))
-        pts = np.empty((node.size, dim))
-        pts[:, 1:] = x_pts[node % n_lines]
-        t[start:start + node.size] = _legendre_roots(cand, pts, z[node // n_lines], t_span)
+        t[start:start + node.size] = _legendre_roots(cand, x_pts[node % n_lines], z[node // n_lines], t_span)
     out_grid = Grid((tuple(z_span), *tuple(tuple(s) for s in x_spans)), (z_count, *shape))
     return ScalarField(out_grid, t.reshape(out_grid.shape))
 
@@ -410,11 +408,11 @@ _ROOT_RTOL = 1e-14
 _ROOT_BLOCK = 1 << 15
 
 
-def _bracketed_roots(f, df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _bracketed_roots(f_df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Safeguarded Newton for f(t) = 0 on every bracket [lo, hi] at once,
-    then one Newton polish; f is increasing, f(lo) <= 0 < f(hi), and ``f``
-    and ``df`` (its derivative) map an array of t to an array of the same
-    size.
+    then one Newton polish; f is increasing, f(lo) <= 0 < f(hi), and
+    ``f_df`` maps an array of t to the arrays f(t) and f'(t) of the same
+    size, read together so that they can share their work.
 
     Each root keeps its bracket from the sign of f.  The Newton step
     t - f/df is taken when it lands in the closed bracket and either the
@@ -430,14 +428,14 @@ def _bracketed_roots(f, df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     width = [hi - lo, hi - lo]  # bracket widths two and one iterations ago
     update = [np.full(t.size, np.inf)] * 2
     for it in range(_NEWTON_ITERATIONS + _BISECTIONS):
-        f_t = f(t)
+        f_t, df_t = f_df(t)
         above = f_t > 0.0
         hi = np.where(above, t, hi)
         lo = np.where(above, lo, t)
         t_next = 0.5 * (lo + hi)
         if it < _NEWTON_ITERATIONS:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = t - f_t / df(t)
+                step = t - f_t / df_t
             # non-strict: a converged step equals the bracket end it came from
             newton = (step >= lo) & (step <= hi)
             newton &= (hi - lo <= 0.5 * width[0]) | (np.abs(step - t) <= 0.5 * update[0])
@@ -450,26 +448,20 @@ def _bracketed_roots(f, df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         done |= change <= _ROOT_RTOL * np.maximum(1.0, np.abs(t))
         if done.all():
             break
-    return t - f(t) / df(t)
+    f_t, df_t = f_df(t)
+    return t - f_t / df_t
 
 
-def _legendre_roots(cand, pts: np.ndarray, zz: np.ndarray, t_span) -> np.ndarray:
-    """The t with u_t(t, x) = z at every row of ``pts`` (t column
-    overwritten) and entry of ``zz``, by ``_bracketed_roots`` on [t_span]."""
-    dim = pts.shape[1]
-    d1 = (1,) + (0,) * (dim - 1)
-    d2 = (2,) + (0,) * (dim - 1)
+def _legendre_roots(cand, x_rows: np.ndarray, zz: np.ndarray, t_span) -> np.ndarray:
+    """The t with u_t(t, x) = z at every transverse row x of ``x_rows`` and
+    entry z of ``zz``, by ``_bracketed_roots`` on [t_span]."""
+    read = cand._t_line_reader(x_rows)
 
-    def at(t: np.ndarray) -> np.ndarray:
-        pts[:, 0] = t
-        return pts
+    def f_df(t: np.ndarray):
+        u_t, u_tt = read(t)
+        return u_t - zz, u_tt
 
-    return _bracketed_roots(
-        lambda t: cand.eval_many(at(t), d1) - zz,
-        lambda t: cand.eval_many(at(t), d2),
-        np.full(zz.size, float(t_span[0])),
-        np.full(zz.size, float(t_span[1])),
-    )
+    return _bracketed_roots(f_df, np.full(zz.size, float(t_span[0])), np.full(zz.size, float(t_span[1])))
 
 
 def partial_legendre(

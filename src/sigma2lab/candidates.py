@@ -178,16 +178,21 @@ class Poly:
         return out
 
     def eval_many_dd(self, X: np.ndarray):
-        """Compensated evaluation; returns a double-double pair of arrays."""
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        acc = (np.zeros(n), np.zeros(n))
+        """Compensated evaluation; returns a double-double pair of arrays.
+
+        The monomials come from ``_monomial_table``; polynomials evaluated at
+        the same points can share one table through ``_eval_dd``.
+        """
+        return self._eval_dd(_monomial_table(np.asarray(X, dtype=float), self.coeffs))
+
+    def _eval_dd(self, table):
+        """The compensated sum of c * monomial over the terms, in coefficient
+        order, with the monomials read from a ``_monomial_table``."""
+        ones = table[(0,) * self.nvars][0][0]
+        acc = (np.zeros_like(ones), np.zeros_like(ones))
         for e, c in self.coeffs.items():
-            term = (np.ones(n), np.zeros(n))
-            for var, k in enumerate(e):
-                if k:
-                    term = dd.dd_mul(term, dd.dd_pow_int(X[:, var], k))
-            acc = dd.dd_add(acc, dd.dd_mul_d(term, c))
+            term, s = table[e]
+            acc = dd.dd_add(acc, dd.dd_mul_d(term, c, s))
         return acc
 
     # -- serialization -----------------------------------------------------
@@ -209,6 +214,40 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self.coeffs!r})"
+
+
+def _monomial_table(X: np.ndarray, exponents) -> dict:
+    """{exponent tuple: (double-double monomial at the rows of X, split of its
+    high part)} for every tuple of ``exponents`` and the constant 1.
+
+    A monomial is 1 times each variable's power in variable order, the power
+    x^k being x^(k-1) times x, all in double-double.  Its product over the
+    leading variables is the monomial with the later exponents zeroed, so
+    every distinct monomial and power is made and split once.
+    """
+    n, nvars = X.shape
+    one = (np.ones(n), np.zeros(n))
+    table = {(0,) * nvars: (one, dd.split(one[0]))}
+    powers: dict[int, list] = {}  # powers[v][k - 1]: (x_v^k, split of its high part)
+    for e in exponents:
+        head = table[(0,) * nvars]
+        for var, k in enumerate(e):
+            if not k:
+                continue
+            key = e[:var + 1] + (0,) * (nvars - 1 - var)
+            if key not in table:
+                pw = powers.setdefault(var, [])
+                if not pw:
+                    x = X[:, var]
+                    pw.append(((x, np.zeros_like(x)), dd.split(x)))
+                while len(pw) < k:
+                    (prev, s_prev), ((x, _), s_x) = pw[-1], pw[0]
+                    p = dd.dd_mul_d(prev, x, s_prev, s_x)
+                    pw.append((p, dd.split(p[0])))
+                term = dd.dd_mul(head[0], pw[k - 1][0], head[1], pw[k - 1][1])
+                table[key] = (term, dd.split(term[0]))
+            head = table[key]
+    return table
 
 
 class HarmonicPoly(Poly):
@@ -277,6 +316,21 @@ class CandidateSolution:
         index = _check_index(index, self.dim)
         pts = _check_points(points, self.dim)
         return self._eval_many(pts, index)
+
+    def _t_line_reader(self, x_rows: np.ndarray):
+        """For transverse rows x_k, the function of an array t that returns
+        (u_t, u_tt) at the points (t_k, x_k): here two ``eval_many`` calls; a
+        family may override it to reuse the factors that do not depend on t."""
+        pts = np.empty((x_rows.shape[0], self.dim))
+        pts[:, 1:] = x_rows
+        d1 = (1,) + (0,) * (self.dim - 1)
+        d2 = (2,) + d1[1:]
+
+        def read(t: np.ndarray):
+            pts[:, 0] = t
+            return self.eval_many(pts, d1), self.eval_many(pts, d2)
+
+        return read
 
     def hessian_many(self, points) -> np.ndarray:
         pts = _check_points(points, self.dim)
@@ -426,22 +480,44 @@ class Counterexample(CandidateSolution):
             out = self._transverse_factor(p, q, x, y) * np.exp(t)
             if p == 0 and q == 0:
                 out = out + ((-1.0) ** k) * self.kappa * np.exp(-t)
+        self._check_finite(out, pts)
+        return out
+
+    def _check_finite(self, out: np.ndarray, pts: np.ndarray) -> None:
         if not np.isfinite(out).all():
             raise ConfigError(
                 f"the counterexample with kappa = {self.kappa!r} leaves the double range at the point "
                 f"{_first_nonfinite(out, pts)}: e^t, kappa e^-t and their products must stay finite"
             )
-        return out
+
+    def _t_line_reader(self, x_rows: np.ndarray):
+        """u_t = r2 e^t - kappa e^-t and u_tt = r2 e^t + kappa e^-t with
+        r2 = x^2 + y^2 made once, each digit as ``eval_many`` gives it."""
+        r2 = self._transverse_factor(0, 0, x_rows[:, 0], x_rows[:, 1])
+
+        def read(t: np.ndarray):
+            with np.errstate(over="ignore", invalid="ignore"):
+                grow = r2 * np.exp(t)
+                decay = self.kappa * np.exp(-t)
+                u_t, u_tt = grow - decay, grow + decay
+            if not (np.isfinite(u_t).all() and np.isfinite(u_tt).all()):
+                pts = np.column_stack([t, x_rows])
+                self._check_finite(u_t, pts)
+                self._check_finite(u_tt, pts)
+            return u_t, u_tt
+
+        return read
 
     def _residual_parts_dd(self, pts: np.ndarray):
         t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
         ep = np.exp(t)
         em = np.exp(-t)
-        r2 = dd.dd_add(dd.two_prod(x, x), dd.two_prod(y, y))
-        utt = dd.dd_add(dd.dd_mul_d(r2, ep), dd.two_prod(np.full_like(t, self.kappa), em))
+        sx, sy, s_ep = dd.split(x), dd.split(y), dd.split(ep)
+        r2 = dd.dd_add(dd.two_prod(x, x, sx, sx), dd.two_prod(y, y, sy, sy))
+        utt = dd.dd_add(dd.dd_mul_d(r2, ep, None, s_ep), dd.two_prod(self.kappa, em))
         two_ep = (2.0 * ep, np.zeros_like(ep))
         diag = [two_ep, two_ep]
-        cross = [dd.two_prod(2.0 * x, ep), dd.two_prod(2.0 * y, ep)]
+        cross = [dd.two_prod(2.0 * x, ep, None, s_ep), dd.two_prod(2.0 * y, ep, None, s_ep)]
         return utt, diag, cross
 
     def to_dict(self) -> dict:
@@ -505,13 +581,15 @@ class HeForm(CandidateSolution):
     def _residual_parts_dd(self, pts: np.ndarray):
         t, X = pts[:, 0], pts[:, 1:]
         n_pts = pts.shape[0]
+        polys = self._b_d1 + self._b_d2 + self._g_d2
+        table = _monomial_table(X, {e for p in polys for e in p.coeffs})
         utt = (np.full(n_pts, 2.0 * self.a), np.zeros(n_pts))
-        t_dd = (t, np.zeros_like(t))
+        t_dd, s_t = (t, np.zeros_like(t)), dd.split(t)
         diag = [
-            dd.dd_add(dd.dd_mul(self._b_d2[i].eval_many_dd(X), t_dd), self._g_d2[i].eval_many_dd(X))
-            for i in range(self.b.nvars)
+            dd.dd_add(dd.dd_mul(b2._eval_dd(table), t_dd, None, s_t), g2._eval_dd(table))
+            for b2, g2 in zip(self._b_d2, self._g_d2)
         ]
-        cross = [self._b_d1[i].eval_many_dd(X) for i in range(self.b.nvars)]
+        cross = [b1._eval_dd(table) for b1 in self._b_d1]
         return utt, diag, cross
 
     def to_dict(self) -> dict:

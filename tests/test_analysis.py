@@ -16,7 +16,7 @@ from sigma2lab.analysis import (
     legendre_round_trip,
     partial_legendre,
 )
-from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
+from sigma2lab.candidates import CandidateSolution, Counterexample, HarmonicPoly, Quadratic, make_he_form
 from sigma2lab.core_ops import Grid, ScalarField, laplacian, sigma2_tilde
 from sigma2lab.errors import (
     ConfigError,
@@ -304,21 +304,21 @@ def _legendre_from_full_arrays(cand, theta, t_span):
     t = np.empty(zz.size)
     for start in range(0, zz.size, _ROOT_BLOCK):
         block = slice(start, start + _ROOT_BLOCK)
-        t[block] = _legendre_roots(cand, pts[block], zz[block], t_span)
+        t[block] = _legendre_roots(cand, pts[block, 1:], zz[block], t_span)
     return t.reshape(theta.grid.shape)
 
 
-@pytest.mark.parametrize(
-    "cand, x_spans, shape, z_count",
-    [
-        (Counterexample(), ((1.0, 2.0), (1.0, 2.0)), (29, 29), 41),
-        (Quadratic(np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), b=[1.0, 0.0, -2.0]),
-         ((-0.2, 0.2), (-0.5, 0.5)), (29, 29), 41),
-        (make_he_form(0.5, HarmonicPoly(2, {(2, 0): 1.0, (0, 2): -1.0})), ((-0.5, 0.5),) * 2, (29, 29), 41),
-        (make_he_form(1.5, HarmonicPoly(1, {(1,): 3.0})), ((-0.5, 0.5),), (67,), 521),
-    ],
-    ids=["counterexample", "quadratic", "he_form-3d", "he_form-2d"],
-)
+LEGENDRE_BLOCK_CASES = [
+    (Counterexample(), ((1.0, 2.0), (1.0, 2.0)), (29, 29), 41),
+    (Quadratic(np.array([[1.25, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), b=[1.0, 0.0, -2.0]),
+     ((-0.2, 0.2), (-0.5, 0.5)), (29, 29), 41),
+    (make_he_form(0.5, HarmonicPoly(2, {(2, 0): 1.0, (0, 2): -1.0})), ((-0.5, 0.5),) * 2, (29, 29), 41),
+    (make_he_form(1.5, HarmonicPoly(1, {(1,): 3.0})), ((-0.5, 0.5),), (67,), 521),
+]
+LEGENDRE_BLOCK_IDS = ["counterexample", "quadratic", "he_form-3d", "he_form-2d"]
+
+
+@pytest.mark.parametrize("cand, x_spans, shape, z_count", LEGENDRE_BLOCK_CASES, ids=LEGENDRE_BLOCK_IDS)
 def test_legendre_blocks_match_full_point_arrays(cand, x_spans, shape, z_count):
     t_span = (-1.0, 1.0)
     theta = partial_legendre(cand, t_span=t_span, x_spans=x_spans, shape=shape, z_count=z_count)
@@ -327,7 +327,76 @@ def test_legendre_blocks_match_full_point_arrays(cand, x_spans, shape, z_count):
     assert np.array_equal(theta.values.view(np.uint64), want.view(np.uint64))
 
 
-class _SteepTanh:
+def _two_call_roots(cand, pts, zz, t_span):
+    """The Legendre roots as they were found before the t-line reader: the
+    safeguarded Newton with separate u_t and u_tt calls to eval_many."""
+    d1 = (1,) + (0,) * (cand.dim - 1)
+    d2 = (2,) + d1[1:]
+
+    def f(t):
+        pts[:, 0] = t
+        return cand.eval_many(pts, d1) - zz
+
+    def df(t):
+        pts[:, 0] = t
+        return cand.eval_many(pts, d2)
+
+    lo, hi = np.full(zz.size, float(t_span[0])), np.full(zz.size, float(t_span[1]))
+    t = 0.5 * (lo + hi)
+    done = np.zeros(t.size, dtype=bool)
+    width = [hi - lo, hi - lo]
+    update = [np.full(t.size, np.inf)] * 2
+    for it in range(120):
+        f_t = f(t)
+        above = f_t > 0.0
+        hi = np.where(above, t, hi)
+        lo = np.where(above, lo, t)
+        t_next = 0.5 * (lo + hi)
+        if it < 60:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = t - f_t / df(t)
+            newton = (step >= lo) & (step <= hi)
+            newton &= (hi - lo <= 0.5 * width[0]) | (np.abs(step - t) <= 0.5 * update[0])
+            t_next = np.where(newton, step, t_next)
+        t_next = np.where(done, t, t_next)
+        change = np.abs(t_next - t)
+        width = [width[1], hi - lo]
+        update = [update[1], change]
+        t = t_next
+        done |= change <= 1e-14 * np.maximum(1.0, np.abs(t))
+        if done.all():
+            break
+    return t - f(t) / df(t)
+
+
+@pytest.mark.parametrize("cand, x_spans, shape, z_count", LEGENDRE_BLOCK_CASES, ids=LEGENDRE_BLOCK_IDS)
+def test_legendre_matches_two_call_newton_bit_for_bit(cand, x_spans, shape, z_count):
+    t_span = (-1.0, 1.0)
+    theta = partial_legendre(cand, t_span=t_span, x_spans=x_spans, shape=shape, z_count=z_count)
+    z_axis, *x_axes = theta.grid.axes()
+    x_pts = np.stack([g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1)
+    want = np.empty(theta.grid.n_nodes)
+    for start in range(0, want.size, _ROOT_BLOCK):
+        node = np.arange(start, min(start + _ROOT_BLOCK, want.size))
+        pts = np.empty((node.size, cand.dim))
+        pts[:, 1:] = x_pts[node % x_pts.shape[0]]
+        want[node] = _two_call_roots(cand, pts, z_axis[node // x_pts.shape[0]], t_span)
+    assert np.array_equal(theta.values.ravel().view(np.uint64), want.view(np.uint64))
+
+
+def test_exponential_root_loop_makes_no_eval_many_call(monkeypatch):
+    calls = []
+    real = Counterexample.eval_many
+    monkeypatch.setattr(Counterexample, "eval_many", lambda *a: calls.append(1) or real(*a))
+    ce = Counterexample()
+    x_rows = np.tile([[1.0, 1.5], [1.5, 1.0], [1.2, 1.3]], (10, 1))
+    zz = np.linspace(5.0, 6.0, x_rows.shape[0])
+    t = _legendre_roots(ce, x_rows, zz, (-1.0, 2.0))
+    assert calls == []
+    assert np.abs(real(ce, np.column_stack([t, x_rows]), (1, 0, 0)) - zz).max() <= 1e-12
+
+
+class _SteepTanh(CandidateSolution):
     """u_t = 5 tanh(5t) + t/100 on every x-line: nearly flat away from t = 0,
     so a plain Newton step from the midpoint of [-1, 2] lands far outside."""
 

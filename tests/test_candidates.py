@@ -159,6 +159,142 @@ def test_residual_memory_grows_by_its_output_only():
     assert growth <= 1.1 * 8 * 150_000
 
 
+# The residual parts as they were computed term by term, before the
+# monomial table and the shared Dekker splits: the references for the
+# bit-identity tests below.
+
+
+def _ref_pow_int(base, k):
+    acc = dd.dd(base)
+    for _ in range(k - 1):
+        acc = dd.dd_mul_d(acc, np.asarray(base, dtype=float))
+    return acc
+
+
+def _ref_poly_dd(poly, X):
+    n = X.shape[0]
+    acc = (np.zeros(n), np.zeros(n))
+    for e, c in poly.coeffs.items():
+        term = (np.ones(n), np.zeros(n))
+        for var, k in enumerate(e):
+            if k:
+                term = dd.dd_mul(term, _ref_pow_int(X[:, var], k))
+        acc = dd.dd_add(acc, dd.dd_mul_d(term, c))
+    return acc
+
+
+def _ref_parts(cand, pts):
+    n = pts.shape[0]
+    if isinstance(cand, Quadratic):
+        const = lambda v: (np.full(n, v), np.zeros(n))
+        return (const(cand.A[0, 0]), [const(cand.A[i, i]) for i in range(1, cand.dim)],
+                [const(cand.A[0, i]) for i in range(1, cand.dim)])
+    if isinstance(cand, Counterexample):
+        t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
+        ep, em = np.exp(t), np.exp(-t)
+        r2 = dd.dd_add(dd.two_prod(x, x), dd.two_prod(y, y))
+        utt = dd.dd_add(dd.dd_mul_d(r2, ep), dd.two_prod(np.full_like(t, cand.kappa), em))
+        two_ep = (2.0 * ep, np.zeros_like(ep))
+        return utt, [two_ep, two_ep], [dd.two_prod(2.0 * x, ep), dd.two_prod(2.0 * y, ep)]
+    t, X = pts[:, 0], pts[:, 1:]
+    nv = cand.b.nvars
+    t_dd = (t, np.zeros_like(t))
+    diag = [
+        dd.dd_add(dd.dd_mul(_ref_poly_dd(cand.b.deriv(i).deriv(i), X), t_dd),
+                  _ref_poly_dd(cand.g.deriv(i).deriv(i), X))
+        for i in range(nv)
+    ]
+    cross = [_ref_poly_dd(cand.b.deriv(i), X) for i in range(nv)]
+    return (np.full(n, 2.0 * cand.a), np.zeros(n)), diag, cross
+
+
+def _ref_residual(cand, pts):
+    utt, diag, cross = _ref_parts(cand, pts)
+    trace = diag[0]
+    for d in diag[1:]:
+        trace = dd.dd_add(trace, d)
+    out = dd.dd_mul(utt, trace)
+    for c in cross:
+        out = dd.dd_sub(out, dd.dd_mul(c, c))
+    return dd.dd_to_float(dd.dd_add_d(out, -1.0))
+
+
+# b of degree 3 and g of degree 4 pass the Poisson check only within its
+# relative 1e-10 tolerance (the 1e6 coefficients of g set the scale): not a
+# solution, but every monomial of total degree up to 2 in both variables
+WIDE_HE_FORM = candidate_from_dict({
+    "variant": "he_form", "a": 2e5, "nvars": 2,
+    "b": {"3,0": 1.0, "1,2": -3.0, "1,1": 0.5, "0,1": -0.2},
+    "g": {"4,0": 1e6, "2,2": -6e6, "0,4": 1e6, "3,1": 0.3, "1,3": -0.3,
+          "2,0": 6.25e-7, "0,2": 6.25e-7, "1,0": 0.7},
+})
+REFERENCE_CANDIDATES = [
+    BLOCK_CANDIDATES[0], Counterexample(0.25), Counterexample(0.7), *BLOCK_CANDIDATES[2:], WIDE_HE_FORM,
+]
+
+
+@pytest.mark.parametrize("cand", REFERENCE_CANDIDATES, ids=["quadratic", "exp-0.25", "exp-0.7", "he-3d", "he-2d", "he-wide"])
+@pytest.mark.parametrize("count", [_RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK + 1, 3 * _RESIDUAL_BLOCK + 17])
+def test_residual_matches_term_by_term_reference_bit_for_bit(cand, count):
+    pts = random_points(7, count, cand.dim, -6.0, 6.0)
+    got = cand.residual_many(pts)
+    want = _ref_residual(cand, pts)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_eval_many_dd_matches_term_by_term_reference_bit_for_bit():
+    X = random_points(8, 1000, 2, -3.0, 3.0)
+    for poly in (WIDE_HE_FORM.b, WIDE_HE_FORM.g, Poly.zero(2), Poly.constant(2, -1.5)):
+        got, want = poly.eval_many_dd(X), _ref_poly_dd(poly, X)
+        assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+
+
+def test_he_form_block_makes_each_distinct_monomial_once(monkeypatch):
+    he = BLOCK_CANDIDATES[2]
+    polys = he._b_d1 + he._b_d2 + he._g_d2
+    distinct = {e for p in polys for e in p.coeffs if any(e)}
+    # every monomial's product over its leading variables is itself among them
+    assert all(e[:1] + (0,) in distinct for e in distinct if e[1] and e[0])
+    assert sum(len(p.coeffs) for p in polys) > 2 * len(distinct)
+    calls = []
+    real = dd.dd_mul
+    monkeypatch.setattr(dd, "dd_mul", lambda *a: calls.append(1) or real(*a))
+    he._residual_parts_dd(random_points(9, 100, 3))
+    # one product per distinct monomial, plus t * b_ii for each transverse axis
+    assert len(calls) == len(distinct) + he.b.nvars
+
+
+def _read_by_eval_many(cand, X, t):
+    pts = np.column_stack([t, X])
+    d1 = (1,) + (0,) * (cand.dim - 1)
+    return cand.eval_many(pts, d1), cand.eval_many(pts, (2,) + d1[1:])
+
+
+@pytest.mark.parametrize("cand", REFERENCE_CANDIDATES, ids=["quadratic", "exp-0.25", "exp-0.7", "he-3d", "he-2d", "he-wide"])
+def test_t_line_reader_matches_two_eval_many_calls_bit_for_bit(cand):
+    X = random_points(10, 5000, cand.dim - 1, -3.0, 3.0)
+    read = cand._t_line_reader(X)
+    for seed in (11, 12):
+        t = random_points(seed, 5000, 1, -8.0, 8.0)[:, 0]
+        got, want = read(t), _read_by_eval_many(cand, X, t)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_counterexample_t_line_reader_overflows_like_eval_many():
+    ce = Counterexample(0.3)
+    X = random_points(13, 50, 2, -3.0, 3.0)
+    X[17] = 0.0  # r2 = 0 there: 0 * inf is NaN, the first bad point of u_t
+    t = random_points(14, 50, 1, -1.0, 1.0)[:, 0]
+    t[[17, 30]] = [720.0, -715.0]
+    with pytest.raises(ConfigError) as want:
+        _read_by_eval_many(ce, X, t)
+    with pytest.raises(ConfigError) as got:
+        ce._t_line_reader(X)(t)
+    assert str(got.value) == str(want.value)
+    assert "leaves the double range at the point (720.0, 0.0, 0.0)" in str(got.value)
+
+
 # ---------------------------------------------------------------------------
 # separated solutions
 

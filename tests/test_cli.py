@@ -831,12 +831,29 @@ def test_cli_ends_every_call_in_an_exit_code(argv):
 
 
 def test_unread_non_finite_option_is_echoed_as_text():
-    # the round quadratic reads neither --kappa nor --c; their values once
+    # the round quadratic reads neither --kappa nor --a; their values once
     # reached report.json as bare NaN and Infinity
-    code, out, err = _main_in_process("barrier", "--candidate", "quadratic", "--kappa=nan", "--c=-inf")
+    code, out, err = _main_in_process("barrier", "--candidate", "quadratic", "--kappa=nan", "--a=-inf")
     assert code == 0, err
     doc = json.loads(out, parse_constant=_reject_constant)
-    assert (doc["config"]["kappa"], doc["config"]["c"]) == ("nan", "-inf")
+    assert (doc["config"]["kappa"], doc["config"]["a"]) == ("nan", "-inf")
+
+
+def test_round_quadratic_tag_reads_b_and_c():
+    # without --A the tag once dropped --b and --c and verified the round quadratic
+    cand = cli._load_candidate(_parser().parse_args(
+        ["verify", "--candidate", "quadratic", "--b", "1,2,3", "--c", "0.5"]
+    ))
+    assert cand.to_dict() == Quadratic(np.diag([1.0, 0.5, 0.5]), [1.0, 2.0, 3.0], 0.5).to_dict()
+    code, out, err = _main_in_process("barrier", "--candidate", "quadratic", "--b", "1,2,3", "--level", "0.7")
+    assert code == 0, err
+    assert json.loads(out)["minimizer"] == [-1.0, -4.0, -6.0]  # -A^-1 b
+
+
+def test_round_quadratic_tag_refuses_non_finite_c():
+    code, out, err = _main_in_process("barrier", "--candidate", "quadratic", "--c=nan")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["configuration error: constant term c must be finite, got nan"]
 
 
 def test_closed_form_subcommands_never_load_scipy():
