@@ -27,13 +27,11 @@ count, m -> ceil(m/2), while that leaves at least 5 nodes, so the coarsest
 level has at most 8 nodes per axis.  Coarse operators are the Galerkin
 products R (J P), with R = P^T and P the tensor product of the interior
 blocks of the linear interpolation tables that the auto start's spline
-shares (``_linear_read_off``).  An odd dyadic count (2m - 1 from m) gives
-the weights 1 and 1/2, any other a non-nested transfer.  The fine level and
-the levels that ``_prolongations`` finds only nested transfers above smooth
-with damped Jacobi, the others with l1-Jacobi.  The coarsest level, at
-most 6^d unknowns (216 in 3D), is inverted densely once per V-cycle set-up
-and applied as a matrix-vector product.  Every solve must reach relative
-residual 1e-10 or raise LinearSolveFailure.
+shares (``_linear_read_off``).  Every level above the coarsest, the fine
+one included, smooths with the same Chebyshev-weighted Jacobi sweeps; the
+coarsest, at most 6^d unknowns (216 in 3D), is inverted densely once per
+V-cycle set-up and applied as a matrix-vector product.  Every solve must
+reach relative residual 1e-10 or raise LinearSolveFailure.
 
 The auto start (``init=None``) solves one discrete Laplace problem with the
 given boundary data plus one Poisson problem with unit load, then picks the
@@ -99,13 +97,13 @@ __all__ = [
 _LINEAR_RELRES = 1e-10
 # linear solve: GMRES(_GMRES_RESTART) with CGS2 Arnoldi for at most
 # _GMRES_CYCLES cycles, each starting from the true residual, right-
-# preconditioned by a V(_SMOOTHING_SWEEPS, _SMOOTHING_SWEEPS) cycle whose
-# damped Jacobi sweeps take the weight _JACOBI_WEIGHT.  The basis holds
+# preconditioned by a V(_SMOOTHING_SWEEPS, _SMOOTHING_SWEEPS) cycle of
+# Chebyshev-weighted Jacobi sweeps (``_v_cycle``).  The basis holds
 # _GMRES_RESTART + 1 vectors of the fine grid's interior size.
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 5
 _SMOOTHING_SWEEPS = 2
-_JACOBI_WEIGHT = 0.8
+_CHEBYSHEV_RATIO = 8
 _LINE_SEARCH_HALVINGS = 30  # step halvings the Newton line search tries
 
 
@@ -231,47 +229,46 @@ def _prolongation_1d(fine: int, coarse: int) -> sp.csr_matrix:
 @lru_cache(maxsize=8)
 def _prolongations(shape: tuple[int, ...]):
     """Tensor-product prolongations P up the ladder of ``_coarsen_levels``, coarse
-    first, each paired with its restriction P^T in CSR form; and for each level
-    above the coarsest whether every transfer above it is nested (2m - 1 or m nodes from m)."""
+    first, each paired with its restriction P^T in CSR form."""
     levels = _coarsen_levels(shape)
-    transfers, nested = [], [True]  # nothing lies above the fine level
-    for coarse, fine in zip(levels[-2::-1], levels[:0:-1]):  # from the fine end down
+    transfers = []
+    for coarse, fine in zip(levels[:-1], levels[1:]):
         P = _prolongation_1d(fine[0], coarse[0])
         for f, c in zip(fine[1:], coarse[1:]):
             P = sp.kron(P, _prolongation_1d(f, c), format="csr")
-        transfers.insert(0, (P, P.T.tocsr()))
-        nested.insert(0, nested[0] and all(f in (c, 2 * c - 1) for f, c in zip(fine, coarse)))
-    return tuple(transfers), tuple(nested[1:])
+        transfers.append((P, P.T.tocsr()))
+    return tuple(transfers)
 
 
 def _v_cycle(mat: sp.spmatrix, shape: tuple[int, ...]):
     """One V-cycle on the Galerkin hierarchy of ``mat`` as a function of the residual.
 
-    Each level's smoother follows the nestedness that ``_prolongations``
-    states: the fine level and every level with only nested transfers above
-    it smooth with damped Jacobi, a level below a non-nested transfer with
-    l1-Jacobi, weight sign(a_ii) / sum_j |a_ij| (Baker, Falgout, Kolev & Yang,
-    *SIAM J. Sci. Comput.* 2011).  The Galerkin levels have a spectral radius
-    of D^-1 A near 3, and near 3.9 below a non-nested transfer, so the damped
-    sweep amplifies their highest modes: harmless on nested ladders, but below
-    a non-nested transfer the V-cycle count grows with depth (34 against 29
-    at 40^3).  l1-Jacobi on every coarse level costs a V-cycle on nested
-    ladders instead (23 against 22 at 25^3).
+    Every level above the coarsest smooths with k = _SMOOTHING_SWEEPS sweeps
+    x += w_j (rhs - A x), w_j = 1 / (rho xi_j d): rho xi_j are the Chebyshev
+    nodes of [rho / _CHEBYSHEV_RATIO, rho], so the k sweeps are Chebyshev
+    iteration on D^-1 A in product form (Saad, *Iterative Methods for Sparse
+    Linear Systems*, 2003, Alg. 12.1; Adams, Brezina, Hu & Tuminaro, *J.
+    Comput. Phys.* 2003), rho = max_i sum_j |a_ij| / |a_ii| its Gershgorin
+    bound.  Pre-smoothing takes j = 1..k, post-smoothing k..1.
     """
-    transfers, nested = _prolongations(shape)
-    ops = [mat]
-    for P, R in reversed(transfers):
-        ops.insert(0, R @ (ops[0] @ P))
+    transfers = _prolongations(shape)
+    k, r = _SMOOTHING_SWEEPS, _CHEBYSHEV_RATIO
+    xis = [(1 + 1 / r + (1 - 1 / r) * math.cos(math.pi * (j - 0.5) / k)) / 2 for j in range(1, k + 1)]
+    ops, weights = [mat], []
+    for P, R in reversed(transfers):  # from the fine level down
+        A = ops[0]
+        diag = A.diagonal()
+        if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
+            raise LinearSolveFailure("Jacobi smoother needs a finite, nonzero diagonal")
+        rho = float(np.max((abs(A) @ np.ones(A.shape[0])) / np.abs(diag)))
+        if not math.isfinite(rho):
+            raise LinearSolveFailure("Chebyshev smoother needs a finite Gershgorin bound of D^-1 A")
+        weights.insert(0, [1.0 / (rho * xi * diag) for xi in xis])
+        ops.insert(0, R @ (A @ P))
     try:
         coarsest = np.linalg.inv(ops[0].toarray())
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(f"coarsest-level inverse failed: {exc}") from exc
-    weights = []
-    for A, damped in zip(ops[1:], nested):
-        diag = A.diagonal()
-        if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
-            raise LinearSolveFailure("Jacobi smoother needs a finite, nonzero diagonal")
-        weights.append(_JACOBI_WEIGHT / diag if damped else np.sign(diag) / (abs(A) @ np.ones(A.shape[0])))
 
     # a module-level function, not a recursive closure: a closure that calls
     # itself is a reference cycle, and would keep the whole hierarchy (the
@@ -283,12 +280,12 @@ def _cycle(ops, weights, transfers, coarsest, level: int, rhs: np.ndarray) -> np
     if level == 0:
         return coarsest @ rhs
     A, w, (P, R) = ops[level], weights[level - 1], transfers[level - 1]
-    x = w * rhs  # first pre-smoothing sweep, from zero
-    for _ in range(_SMOOTHING_SWEEPS - 1):
-        x += w * (rhs - A @ x)
+    x = w[0] * rhs  # first pre-smoothing sweep, from zero
+    for wj in w[1:]:
+        x += wj * (rhs - A @ x)
     x += P @ _cycle(ops, weights, transfers, coarsest, level - 1, R @ (rhs - A @ x))
-    for _ in range(_SMOOTHING_SWEEPS):
-        x += w * (rhs - A @ x)
+    for wj in reversed(w):
+        x += wj * (rhs - A @ x)
     return x
 
 

@@ -195,8 +195,7 @@ def test_table_jacobian_is_bit_identical_to_the_literal_entry_list(name, scale):
 @pytest.mark.parametrize("shape", [(21, 21, 21), (33, 17, 9)], ids=["cube21", "box33x17x9"])
 def test_cached_restriction_is_the_transposed_prolongation(shape):
     rng = np.random.default_rng(5)
-    transfers, _ = solver._prolongations(shape)
-    for P, R in transfers:
+    for P, R in solver._prolongations(shape):
         r = rng.normal(size=P.shape[0])
         np.testing.assert_array_equal(R @ r, P.T @ r)
 
@@ -224,17 +223,26 @@ def _relres(mat, x, rhs):
     return np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs)
 
 
-def _first_newton_system(m):
+def _rigidity_problem(m):
+    # rigidity_sweep's L = 1 box: the standard quadratic plus 0.1 times the bump
     g = cube(-1.0, 1.0, m)
-    u0 = solver._auto_init(DirichletProblem.from_candidate(g, Counterexample(0.25)))
-    return g, assemble_jacobian(u0), -assemble_residual(u0)
+    pts = g.points()
+    vals = Quadratic.standard(3).eval_many(pts) + 0.1 * solver._bump(pts, 1.0, 3)
+    return DirichletProblem(g, ScalarField(g, vals.reshape(g.shape)))
+
+
+def _first_newton_system(m, data="exponential"):
+    if data == "exponential":
+        problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, m), Counterexample(0.25))
+    else:
+        problem = _rigidity_problem(m)
+    u0 = solver._auto_init(problem)
+    return problem.grid, assemble_jacobian(u0), -assemble_residual(u0)
 
 
 def test_multigrid_solve_matches_direct_solve_on_newton_path():
     g, J, rhs = _first_newton_system(25)
-    transfers, nested = solver._prolongations(g.shape)
-    assert len(transfers) == 2  # three levels: 7^3, 13^3, 25^3
-    assert nested == (True, True)  # both transfers are nested: damped Jacobi on 13^3 and 25^3
+    assert len(solver._prolongations(g.shape)) == 2  # three levels: 7^3, 13^3, 25^3
     x = solver._solve_sparse(J, rhs, g)
     direct = spla.splu(J.tocsc()).solve(rhs)
     assert _relres(J, x, rhs) <= 1e-10
@@ -244,9 +252,7 @@ def test_multigrid_solve_matches_direct_solve_on_newton_path():
 def test_even_node_grid_solves_on_a_two_level_ladder():
     g = cube(-1.0, 1.0, 10)
     assert solver._coarsen_levels(g.shape) == [(5, 5, 5), (10, 10, 10)]
-    transfers, nested = solver._prolongations(g.shape)
-    assert len(transfers) == 1
-    assert nested == (True,)  # the fine level smooths with damped Jacobi all the same
+    assert len(solver._prolongations(g.shape)) == 1
     rng = np.random.default_rng(3)
     u = ScalarField.sample(g, Quadratic.standard(3))
     u.values += 0.01 * rng.normal(size=g.shape)
@@ -311,6 +317,18 @@ def test_singular_jacobian_raises_linear_solve_failure(m):
         solver._solve_sparse(J, np.ones(J.shape[0]), g)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_off_diagonal_raises_linear_solve_failure_at_v_cycle_set_up(bad):
+    # the diagonal stays finite and nonzero: only the Gershgorin bound of
+    # D^-1 A sees the entry, before any Galerkin product or Krylov iteration
+    g = cube(-1.0, 1.0, 13)
+    J = assemble_jacobian(ScalarField.sample(g, Quadratic.standard(3)))
+    J.data[J.offsets.tolist().index(1), 5] = bad  # entry (4, 5)
+    assert np.isfinite(J.diagonal()).all() and (J.diagonal() != 0.0).all()
+    with pytest.raises(LinearSolveFailure, match="Gershgorin"):
+        solver._v_cycle(J, g.shape)
+
+
 def test_gmres_that_stops_short_fails_without_fallback(monkeypatch):
     monkeypatch.setattr(solver, "_GMRES_RESTART", 2)
     monkeypatch.setattr(solver, "_GMRES_CYCLES", 1)
@@ -368,8 +386,9 @@ def test_gmres_restart_path_agrees_with_splu(monkeypatch):
     assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
-def test_first_newton_system_at_25_cubed_takes_at_most_22_v_cycles(monkeypatch):
-    g, J, rhs = _first_newton_system(25)
+@pytest.mark.parametrize("data, bound", [("exponential", 22), ("rigidity", 14)], ids=["exponential", "rigidity"])
+def test_first_newton_system_at_25_cubed_takes_at_most_22_v_cycles(monkeypatch, data, bound):
+    g, J, rhs = _first_newton_system(25, data)
     applied = []
     v_cycle = solver._v_cycle
 
@@ -380,7 +399,7 @@ def test_first_newton_system_at_25_cubed_takes_at_most_22_v_cycles(monkeypatch):
     monkeypatch.setattr(solver, "_v_cycle", counted)
     x = solver._solve_sparse(J, rhs, g)
     assert _relres(J, x, rhs) <= 1e-10
-    assert len(applied) <= 22
+    assert len(applied) <= bound
 
 
 def _first_system_v_cycles(m):
@@ -399,7 +418,7 @@ def _first_system_v_cycles(m):
 )
 def test_even_grid_takes_about_as_many_v_cycles_as_the_next_odd_one(even, odd):
     # the even ladders are non-nested (8-16-32, 5-10-20-40, 8-16-32-64); their
-    # levels below a non-nested transfer smooth with l1-Jacobi
+    # levels smooth with the same Chebyshev-weighted Jacobi sweeps as nested ones
     assert _first_system_v_cycles(even) <= 1.25 * _first_system_v_cycles(odd)
 
 
@@ -529,10 +548,8 @@ def test_u_tt_cone_of_exponential_levels_matches_a_brute_scan(m, lo_want):
 def test_start_test_rejects_a_calibrated_root_outside_the_sigma2_cone():
     # rigidity_sweep's L = 1 box at h = 1/12: the root keeps u_tt > 0, but
     # sigma2 <= 0 at 37 nodes leaves the linearisation indefinite there
-    g = cube(-1.0, 1.0, 25)
-    pts = g.points()
-    vals = Quadratic.standard(3).eval_many(pts) + 0.1 * solver._bump(pts, 1.0, 3)
-    problem = DirichletProblem(g, ScalarField(g, vals.reshape(g.shape)))
+    problem = _rigidity_problem(25)
+    g = problem.grid
     family = harm, w, roots, (lo, hi) = solver._calibrated_family(problem)
     (c,) = [r for r in roots if lo < r < hi]
     assert solver._min_u11(harm + c * w, g.spacing) > 0.0
