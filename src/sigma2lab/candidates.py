@@ -559,18 +559,27 @@ class HeForm(CandidateSolution):
         self._b_d1 = [b.deriv(i) for i in range(nv)]
         self._b_d2 = [b.deriv(i).deriv(i) for i in range(nv)]
         self._g_d2 = [g.deriv(i).deriv(i) for i in range(nv)]
+        self._partials: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
+
+    def _partial(self, alpha: tuple[int, ...]) -> tuple[Poly, Poly]:
+        """b and g differentiated by the transverse multi-index alpha, made
+        once per candidate and alpha."""
+        if alpha not in self._partials:
+            self._partials[alpha] = (self.b.partial(alpha), self.g.partial(alpha))
+        return self._partials[alpha]
 
     def _eval_many(self, pts: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
         k, alpha = index[0], index[1:]
         t, X = pts[:, 0], pts[:, 1:]
         pure = all(v == 0 for v in alpha)
         if k == 0:
-            out = t * self.b.partial(alpha).eval_many(X) + self.g.partial(alpha).eval_many(X)
+            b_alpha, g_alpha = self._partial(alpha)
+            out = t * b_alpha.eval_many(X) + g_alpha.eval_many(X)
             if pure:
                 out = out + self.a * t**2
             return out
         if k == 1:
-            out = self.b.partial(alpha).eval_many(X)
+            out = self._partial(alpha)[0].eval_many(X)
             if pure:
                 out = out + 2.0 * self.a * t
             return out

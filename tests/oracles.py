@@ -212,3 +212,32 @@ def riemann_norm_fd(potential, pts3_point, delta: float = 1e-3) -> float:
     rm = riemann_fd(potential, p, delta)
     val = np.einsum("ia,bj,kc,dl,ajcl,ibkd->", gup, gup, gup, gup, rm, np.conj(rm))
     return float(val.real)
+
+
+def harmonic_dual_solution(points, eps: float) -> np.ndarray:
+    """Exact solution of sigma2_tilde(D^2 u) = 1 from a harmonic partial Legendre dual.
+
+    The dual u*(z, x) = z^2/2 - x^2/2 + eps e^z cos x in 2D, and
+    z^2/2 - (x^2 + y^2)/4 + eps e^z cos x in 3D, is harmonic in (z, x[, y])
+    with u*_zz = 1 + eps e^z cos x > 0 on |x| < pi/2.  Solving u*_z(z, x) = t
+    for z and setting u = t z - u*(z, x) gives u_t = z, u_tt = 1 / u*_zz and
+    Lap_x u = -u_tt Lap_x u*, so the paper's partial Legendre identity makes
+    u a solution with u_tt varying in t and x: neither a He-form nor the
+    exponential family.  ``points`` is an (N, 2) or (N, 3) array of (t, x[, y])
+    with |x| < pi/2 and eps >= 0; returns u at each point.
+
+    The root of z + eps e^z cos x = t is found by Newton from z = t: the left
+    side is increasing and convex in z and exceeds t there, so the iterates
+    fall monotonically onto the root.
+    """
+    pts = np.asarray(points, dtype=float)
+    t, x = pts[:, 0], pts[:, 1]
+    transverse = x**2 / 2 if pts.shape[1] == 2 else (x**2 + pts[:, 2] ** 2) / 4
+    c = eps * np.cos(x)
+    z = t.copy()
+    for _ in range(100):
+        step = (z + c * np.exp(z) - t) / (1.0 + c * np.exp(z))
+        z -= step
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+            break
+    return t * z - (z**2 / 2 - transverse + c * np.exp(z))

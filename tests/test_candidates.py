@@ -264,6 +264,23 @@ def test_he_form_block_makes_each_distinct_monomial_once(monkeypatch):
     assert len(calls) == len(distinct) + he.b.nvars
 
 
+def test_he_form_differentiates_b_and_g_once_per_transverse_index(monkeypatch):
+    he = candidate_from_dict(WIDE_HE_FORM.to_dict())  # no derivative made yet
+    calls = []
+    real = Poly.partial
+    monkeypatch.setattr(Poly, "partial", lambda self, index: calls.append(tuple(index)) or real(self, index))
+    pts = random_points(12, 50, 3)
+    indices = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 1), (1, 2, 1)]
+    first = [he.eval_many(pts, index) for index in indices]
+    again = [he.eval_many(pts, index) for index in indices]
+    # b and g once for each of the transverse indices (0, 0), (1, 0), (2, 1)
+    assert sorted(calls) == sorted(2 * [(0, 0), (1, 0), (2, 1)])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    t, X = pts[:, 0], pts[:, 1:]
+    want = t * he.b.partial((1, 0)).eval_many(X) + he.g.partial((1, 0)).eval_many(X)
+    assert first[3].tobytes() == want.tobytes()
+
+
 def _read_by_eval_many(cand, X, t):
     pts = np.column_stack([t, X])
     d1 = (1,) + (0,) * (cand.dim - 1)

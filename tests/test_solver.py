@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from sigma2lab import solver
 from sigma2lab.candidates import Counterexample, HarmonicPoly, Quadratic, make_he_form
 from sigma2lab.cli import main
@@ -422,6 +425,101 @@ def test_even_grid_takes_about_as_many_v_cycles_as_the_next_odd_one(even, odd):
     assert _first_system_v_cycles(even) <= 1.25 * _first_system_v_cycles(odd)
 
 
+def _record_newton_solves(monkeypatch):
+    # (grid shape, Newton steps) of every newton_solve, nested ones included,
+    # in the order they end
+    solves = []
+    real = solver.newton_solve
+
+    def recorded(problem, *args, **kwargs):
+        rep = real(problem, *args, **kwargs)
+        solves.append((problem.grid.shape, rep.iterations))
+        return rep
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    return solves
+
+
+def test_newton_solve_builds_its_coarse_levels_once_whatever_its_step_count(monkeypatch):
+    builds = []
+    real_build = solver._coarse_levels
+    monkeypatch.setattr(solver, "_coarse_levels", lambda mat, shape: builds.append(shape) or real_build(mat, shape))
+    solves = _record_newton_solves(monkeypatch)
+    for m in (21, 25):
+        problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, m), Counterexample(0.25))
+        assert solver.newton_solve(problem).converged
+    # one build per Newton solve, at its first step: 6^3, 11^3, 21^3, 7^3, 13^3, 25^3
+    assert builds == [shape for shape, _ in solves]
+    multi = [(shape, steps) for shape, steps in solves if solver._prolongations(shape)]
+    assert [shape[0] for shape, _ in multi] == [11, 21, 13, 25]
+    # 4 builds for the 11 steps of these solves
+    assert all(steps >= 2 for _, steps in multi)
+    assert sum(steps for _, steps in multi) == 11
+
+
+def _exponential_sweep(m):
+    problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, m), Counterexample(0.25))
+    return [solver.newton_solve(problem).iterations]
+
+
+def _rigidity_row(eps):
+    rows = rigidity_sweep(Quadratic.standard(3), eps=eps, sizes=(1.0,), h=1.0 / 12.0)
+    return [row["iterations"] for row in rows]
+
+
+def _newton_and_krylov_counts(monkeypatch, run, fresh):
+    krylov = []
+    real_gmres = solver._gmres
+
+    def counted(mat, rhs, precond):
+        x, iters, restarts = real_gmres(mat, rhs, precond)
+        krylov.append(iters)
+        return x, iters, restarts
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_gmres", counted)
+        if fresh:  # the whole hierarchy rebuilt from every step's Jacobian
+            real_solve = solver._solve_sparse
+            mp.setattr(solver, "_solve_sparse", lambda mat, rhs, grid, coarse=None: real_solve(mat, rhs, grid))
+        solves = _record_newton_solves(mp)
+        outer = run()
+    return solves, outer, krylov
+
+
+@pytest.mark.parametrize(
+    "run",
+    [partial(_exponential_sweep, 21), partial(_exponential_sweep, 25), partial(_rigidity_row, 0.1), partial(_rigidity_row, 0.3)],
+    ids=["exponential21", "exponential25", "rigidity-eps0.1", "rigidity-eps0.3"],
+)
+def test_coarse_levels_of_the_first_jacobian_keep_newton_and_krylov_counts(monkeypatch, run):
+    reused = _newton_and_krylov_counts(monkeypatch, run, fresh=False)
+    fresh = _newton_and_krylov_counts(monkeypatch, run, fresh=True)
+    assert reused[:2] == fresh[:2]  # every Newton solve's step count, nested ones included
+    assert len(reused[2]) == len(fresh[2])
+    assert all(r <= f + 1 for r, f in zip(reused[2], fresh[2])), (reused[2], fresh[2])
+
+
+def test_newton_step_carries_no_earlier_jacobian(monkeypatch):
+    refs, alive = [], []
+    real_assemble, real_solve = solver.assemble_jacobian, solver._solve_sparse
+
+    def assemble(u):
+        jac = real_assemble(u)
+        refs.append(weakref.ref(jac))
+        return jac
+
+    def solve(mat, rhs, grid, coarse=None):
+        alive.append(sum(ref() is not None for ref in refs[:-1]))
+        return real_solve(mat, rhs, grid, coarse)
+
+    monkeypatch.setattr(solver, "assemble_jacobian", assemble)
+    monkeypatch.setattr(solver, "_solve_sparse", solve)
+    problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, 25), Counterexample(0.25))
+    assert solver.newton_solve(problem).converged
+    assert len(alive) == 11  # 6 steps at 7^3, 3 at 13^3, 2 at 25^3
+    assert alive == [0] * len(alive)
+
+
 @pytest.mark.parametrize("where, precond_calls", [("rhs", 0), ("matrix", 1)])
 def test_gmres_stops_at_once_on_nan(where, precond_calls):
     n = 12
@@ -687,6 +785,34 @@ def test_truncation_error_is_second_order():
     e_coarse = solve_err(9)
     e_fine = solve_err(17)
     assert 3.0 < e_coarse / e_fine < 5.0
+
+
+def _harmonic_dual_error(m, dim, eps):
+    # max node error of the Dirichlet solve of oracles.harmonic_dual_solution
+    # on [-1, 1]^dim from the auto start
+    g = cube(-1.0, 1.0, m, dim)
+    exact = oracles.harmonic_dual_solution(g.points(), eps).reshape(g.shape)
+    rep = newton_solve(DirichletProblem(g, ScalarField(g, exact)))
+    assert rep.converged
+    return float(np.abs(rep.solution.values - exact).max())
+
+
+@pytest.mark.parametrize(
+    "dim, sizes, lo, hi", [(2, (33, 65, 129), 3.9, 4.1), (3, (21, 41), 3.8, 4.2)], ids=["2d", "3d"]
+)
+def test_harmonic_dual_solution_error_is_second_order(dim, sizes, lo, hi):
+    # an exact solution whose u_tt varies in t and x, from no package code
+    errors = [_harmonic_dual_error(m, dim, 0.3) for m in sizes]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert lo <= coarse / fine <= hi, errors
+
+
+def test_large_amplitude_harmonic_dual_solves_through_nested_iteration(monkeypatch):
+    # eps = 10: u_tt spans about [0.24, 0.94], and no calibrated root lies in
+    # the ellipticity cone, so the start climbs the 7-13-25 ladder
+    solves = _record_newton_solves(monkeypatch)
+    assert _harmonic_dual_error(25, 3, 10.0) <= 1e-4
+    assert [shape for shape, _ in solves] == [(7, 7, 7), (13, 13, 13)]
 
 
 @pytest.mark.parametrize(
