@@ -101,9 +101,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-1.0) * other
 
-    def __neg__(self) -> "Poly":
-        return (-1.0) * self
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_peer(other)
@@ -524,6 +521,14 @@ class Counterexample(CandidateSolution):
         return {"variant": self.variant, "kappa": self.kappa}
 
 
+def _check_t2_coefficient(a) -> float:
+    """The t^2 coefficient a as a float; u_tt = 2a must be positive and finite."""
+    a = float(a)
+    if not (a > 0.0 and math.isfinite(2.0 * a)):
+        raise ConfigError(f"the t^2 coefficient a must be positive with 2a finite, got {a}")
+    return a
+
+
 class HeForm(CandidateSolution):
     """u = a t^2 + t b(x) + g(x) with b harmonic and 2a Lap(g) = 1 + |grad b|^2.
 
@@ -534,9 +539,7 @@ class HeForm(CandidateSolution):
     variant = "he_form"
 
     def __init__(self, a: float, b: Poly, g: Poly):
-        a = float(a)
-        if not (a > 0.0 and math.isfinite(2.0 * a)):  # u_tt = 2a
-            raise ConfigError(f"the t^2 coefficient a must be positive with 2a finite, got {a}")
+        a = _check_t2_coefficient(a)
         if b.nvars != g.nvars or b.nvars not in (1, 2):
             raise ConfigError("b and g must share 1 or 2 transverse variables")
         if not b.is_harmonic():
@@ -555,17 +558,17 @@ class HeForm(CandidateSolution):
         self.b = b
         self.g = g
         self.dim = 1 + b.nvars
-        nv = b.nvars
-        self._b_d1 = [b.deriv(i) for i in range(nv)]
-        self._b_d2 = [b.deriv(i).deriv(i) for i in range(nv)]
-        self._g_d2 = [g.deriv(i).deriv(i) for i in range(nv)]
-        self._partials: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
+        self._partials: dict[tuple[int, ...], tuple[Poly, Poly]] = {(0,) * b.nvars: (b, g)}
 
     def _partial(self, alpha: tuple[int, ...]) -> tuple[Poly, Poly]:
-        """b and g differentiated by the transverse multi-index alpha, made
-        once per candidate and alpha."""
+        """b and g differentiated by the transverse multi-index alpha.  Each
+        derivative is made once per candidate, from the cached one below it
+        in the order of ``Poly.partial``: alpha's last variable is the last
+        differentiated."""
         if alpha not in self._partials:
-            self._partials[alpha] = (self.b.partial(alpha), self.g.partial(alpha))
+            var = max(v for v, k in enumerate(alpha) if k)
+            lower = alpha[:var] + (alpha[var] - 1,) + alpha[var + 1:]
+            self._partials[alpha] = tuple(p.deriv(var) for p in self._partial(lower))
         return self._partials[alpha]
 
     def _eval_many(self, pts: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
@@ -590,15 +593,17 @@ class HeForm(CandidateSolution):
     def _residual_parts_dd(self, pts: np.ndarray):
         t, X = pts[:, 0], pts[:, 1:]
         n_pts = pts.shape[0]
-        polys = self._b_d1 + self._b_d2 + self._g_d2
-        table = _monomial_table(X, {e for p in polys for e in p.coeffs})
+        units = [tuple(int(v == i) for v in range(self.dim - 1)) for i in range(self.dim - 1)]
+        b_d1 = [self._partial(e)[0] for e in units]
+        b_d2, g_d2 = zip(*(self._partial(tuple(2 * k for k in e)) for e in units))
+        table = _monomial_table(X, {e for p in (*b_d1, *b_d2, *g_d2) for e in p.coeffs})
         utt = (np.full(n_pts, 2.0 * self.a), np.zeros(n_pts))
         t_dd, s_t = (t, np.zeros_like(t)), dd.split(t)
         diag = [
             dd.dd_add(dd.dd_mul(b2._eval_dd(table), t_dd, None, s_t), g2._eval_dd(table))
-            for b2, g2 in zip(self._b_d2, self._g_d2)
+            for b2, g2 in zip(b_d2, g_d2)
         ]
-        cross = [b1._eval_dd(table) for b1 in self._b_d1]
+        cross = [b1._eval_dd(table) for b1 in b_d1]
         return utt, diag, cross
 
     def to_dict(self) -> dict:
@@ -629,9 +634,7 @@ def make_he_form(a: float, b: Poly) -> HeForm:
 
     with rho^2 = |x|^2 and nu the number of transverse variables.
     """
-    a = float(a)
-    if not (a > 0.0 and math.isfinite(2.0 * a)):  # u_tt = 2a
-        raise ConfigError(f"the t^2 coefficient a must be positive with 2a finite, got {a}")
+    a = _check_t2_coefficient(a)
     if not b.is_harmonic():
         raise ConfigError("b must be harmonic")
     rhs = (1.0 / (2.0 * a)) * (Poly.constant(b.nvars, 1.0) + b.grad_sq())

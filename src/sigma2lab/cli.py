@@ -343,12 +343,9 @@ def cmd_solve(args) -> int:
     if args.grid is None:
         raise ConfigError("solve needs --grid")
     grid = _parse_grid(args.grid)
-    if getattr(args, "field", None):
-        boundary = ScalarField.load(args.field)
-        problem = DirichletProblem(grid, boundary)
-    else:
-        problem = DirichletProblem.from_candidate(grid, _load_candidate(args))
-    rep = newton_solve(problem, tol=args.tol, max_iter=args.max_iter)
+    source = _load_source(args)
+    boundary = source if isinstance(source, ScalarField) else ScalarField.sample(grid, source)
+    rep = newton_solve(DirichletProblem(grid, boundary), tol=args.tol, max_iter=args.max_iter)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         rep.solution.save(str(Path(args.out) / "solution"))

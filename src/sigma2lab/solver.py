@@ -294,22 +294,22 @@ def _coarse_levels(mat: sp.spmatrix, shape: tuple[int, ...]):
     return ops, weights, _dense_inverse(ops[0]) if ops else None
 
 
-def _v_cycle(mat: sp.spmatrix, shape: tuple[int, ...], coarse=None):
+def _v_cycle(mat: sp.spmatrix, shape: tuple[int, ...], coarse):
     """One V-cycle for ``mat`` as a function of the residual.
 
     The levels below the fine one are ``coarse``, the parts that
-    ``_coarse_levels`` built from some earlier operator of the same grid, or
-    else the Galerkin hierarchy of ``mat`` itself.  The fine level is always
-    ``mat``: every level above the coarsest smooths with k = _SMOOTHING_SWEEPS
-    Chebyshev-weighted Jacobi sweeps (``_chebyshev_weights``), pre-smoothing
-    with j = 1..k and post-smoothing with k..1.  On a one-level ladder the
-    fine level is the coarsest, inverted densely here.
+    ``_coarse_levels`` built from ``mat`` or from an earlier operator of the
+    same grid.  The fine level is always ``mat``: every level above the
+    coarsest smooths with k = _SMOOTHING_SWEEPS Chebyshev-weighted Jacobi
+    sweeps (``_chebyshev_weights``), pre-smoothing with j = 1..k and
+    post-smoothing with k..1.  On a one-level ladder the fine level is the
+    coarsest, inverted densely here, and ``coarse`` is empty.
     """
     transfers = _prolongations(shape)
     if not transfers:
         return partial(_cycle, [mat], [], transfers, _dense_inverse(mat), 0)
     fine = _chebyshev_weights(mat)
-    ops, weights, coarsest = _coarse_levels(mat, shape) if coarse is None else coarse
+    ops, weights, coarsest = coarse
     # a module-level function, not a recursive closure: a closure that calls
     # itself is a reference cycle, and would keep the whole hierarchy (the
     # fine Jacobian included) alive until the cyclic garbage collector runs
@@ -396,13 +396,11 @@ def _gmres(mat, rhs: np.ndarray, precond) -> tuple[np.ndarray, int, int]:
     return x, iters, _GMRES_CYCLES - 1
 
 
-def _solve_sparse(mat: sp.spmatrix, rhs: np.ndarray, grid: Grid, coarse=None) -> np.ndarray:
+def _solve_sparse(mat: sp.spmatrix, rhs: np.ndarray, grid: Grid, coarse) -> np.ndarray:
     """Solve ``mat x = rhs`` for the interior unknowns of ``grid`` to relative
     residual 1e-10, preconditioned by a V-cycle whose fine level is ``mat``
-    and whose coarser levels are ``coarse`` (``_coarse_levels``), or the
-    Galerkin hierarchy of ``mat`` when it is None."""
-    precond = _v_cycle(mat, grid.shape) if coarse is None else _v_cycle(mat, grid.shape, coarse)
-    x, iters, restarts = _gmres(mat, rhs, precond)
+    and whose coarser levels are ``coarse`` (``_coarse_levels``)."""
+    x, iters, restarts = _gmres(mat, rhs, _v_cycle(mat, grid.shape, coarse))
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("sparse solve produced non-finite values")
     denom = np.linalg.norm(rhs)
@@ -653,12 +651,6 @@ def newton_solve(
     if not np.isfinite(norm):
         raise ConfigError("boundary data too large: the residual norm of the first iterate overflows")
     history = [norm]
-    min_u11 = _min_u11(u, h)
-    if min_u11 <= 0.0:
-        raise EllipticityLost(
-            f"initial iterate has min u_tt = {min_u11:.6g} <= 0",
-            SolveReport(False, 0, norm, float(np.abs(res).max()), min_u11, tol, [norm]),
-        )
 
     def report(converged: bool, iters: int, with_solution: bool) -> SolveReport:
         return SolveReport(
@@ -672,6 +664,9 @@ def newton_solve(
             solution=ScalarField(grid, u.copy()) if with_solution else None,
         )
 
+    min_u11 = _min_u11(u, h)
+    if min_u11 <= 0.0:
+        raise EllipticityLost(f"initial iterate has min u_tt = {min_u11:.6g} <= 0", report(False, 0, False))
     iters = 0
     coarse = None  # the V-cycle's levels below the fine one, from the first Jacobian
     while norm > tol:

@@ -251,7 +251,8 @@ def test_eval_many_dd_matches_term_by_term_reference_bit_for_bit():
 
 def test_he_form_block_makes_each_distinct_monomial_once(monkeypatch):
     he = BLOCK_CANDIDATES[2]
-    polys = he._b_d1 + he._b_d2 + he._g_d2
+    units = [(1, 0), (0, 1)]  # b_i, then b_ii and g_ii, as the residual reads them
+    polys = [he._partial(e)[0] for e in units] + [p for e in units for p in he._partial(tuple(2 * k for k in e))]
     distinct = {e for p in polys for e in p.coeffs if any(e)}
     # every monomial's product over its leading variables is itself among them
     assert all(e[:1] + (0,) in distinct for e in distinct if e[1] and e[0])
@@ -265,20 +266,52 @@ def test_he_form_block_makes_each_distinct_monomial_once(monkeypatch):
 
 
 def test_he_form_differentiates_b_and_g_once_per_transverse_index(monkeypatch):
-    he = candidate_from_dict(WIDE_HE_FORM.to_dict())  # no derivative made yet
-    calls = []
-    real = Poly.partial
-    monkeypatch.setattr(Poly, "partial", lambda self, index: calls.append(tuple(index)) or real(self, index))
+    made, checking = [], []  # made: (polynomial, variable, derivative) outside the constructor's checks
+    real_deriv = Poly.deriv
+
+    def deriv(self, var):
+        out = real_deriv(self, var)
+        if not checking:
+            made.append((self, var, out))
+        return out
+
+    def check(real):
+        def run(self):
+            checking.append(1)
+            try:
+                return real(self)
+            finally:
+                checking.pop()
+
+        return run
+
+    monkeypatch.setattr(Poly, "deriv", deriv)
+    monkeypatch.setattr(Poly, "laplacian", check(Poly.laplacian))
+    monkeypatch.setattr(Poly, "grad_sq", check(Poly.grad_sq))
+    he = candidate_from_dict(WIDE_HE_FORM.to_dict())
     pts = random_points(12, 50, 3)
     indices = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 1), (1, 2, 1)]
     first = [he.eval_many(pts, index) for index in indices]
+    residual = he.residual_many(pts)
     again = [he.eval_many(pts, index) for index in indices]
-    # b and g once for each of the transverse indices (0, 0), (1, 0), (2, 1)
-    assert sorted(calls) == sorted(2 * [(0, 0), (1, 0), (2, 1)])
+    assert he.residual_many(pts).tobytes() == residual.tobytes()
+    # name every derivative made by its polynomial, b or g, and transverse multi-index
+    names = {id(he.b): ("b", (0, 0)), id(he.g): ("g", (0, 0))}
+    for poly, var, out in made:
+        name, alpha = names[id(poly)]
+        names[id(out)] = (name, tuple(k + (v == var) for v, k in enumerate(alpha)))
+    # b and g once each along the chains to (1, 0), (2, 1) and, for the
+    # residual, (0, 1), (2, 0) and (0, 2): no derivative made twice
+    chains = [(1, 0), (2, 0), (2, 1), (0, 1), (0, 2)]
+    assert sorted(names[id(out)] for _, _, out in made) == sorted((p, a) for p in "bg" for a in chains)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
     t, X = pts[:, 0], pts[:, 1:]
     want = t * he.b.partial((1, 0)).eval_many(X) + he.g.partial((1, 0)).eval_many(X)
     assert first[3].tobytes() == want.tobytes()
+    # the cached chains give Poly.partial's terms in Poly.partial's order
+    for alpha, (b_alpha, g_alpha) in he._partials.items():
+        assert list(b_alpha.coeffs.items()) == list(he.b.partial(alpha).coeffs.items())
+        assert list(g_alpha.coeffs.items()) == list(he.g.partial(alpha).coeffs.items())
 
 
 def _read_by_eval_many(cand, X, t):

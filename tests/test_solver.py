@@ -246,7 +246,7 @@ def _first_newton_system(m, data="exponential"):
 def test_multigrid_solve_matches_direct_solve_on_newton_path():
     g, J, rhs = _first_newton_system(25)
     assert len(solver._prolongations(g.shape)) == 2  # three levels: 7^3, 13^3, 25^3
-    x = solver._solve_sparse(J, rhs, g)
+    x = solver._solve_sparse(J, rhs, g, solver._coarse_levels(J, g.shape))
     direct = spla.splu(J.tocsc()).solve(rhs)
     assert _relres(J, x, rhs) <= 1e-10
     assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
@@ -261,7 +261,7 @@ def test_even_node_grid_solves_on_a_two_level_ladder():
     u.values += 0.01 * rng.normal(size=g.shape)
     J = assemble_jacobian(u)
     rhs = rng.normal(size=J.shape[0])
-    x = solver._solve_sparse(J, rhs, g)
+    x = solver._solve_sparse(J, rhs, g, solver._coarse_levels(J, g.shape))
     assert _relres(J, x, rhs) <= 1e-10
 
 
@@ -317,19 +317,31 @@ def test_singular_jacobian_raises_linear_solve_failure(m):
     g = cube(-1.0, 1.0, m)
     J = assemble_jacobian(ScalarField(g, np.zeros(g.shape)))  # the zero matrix
     with pytest.raises(LinearSolveFailure):
-        solver._solve_sparse(J, np.ones(J.shape[0]), g)
+        solver._solve_sparse(J, np.ones(J.shape[0]), g, solver._coarse_levels(J, g.shape))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_non_finite_off_diagonal_raises_linear_solve_failure_at_v_cycle_set_up(bad):
     # the diagonal stays finite and nonzero: only the Gershgorin bound of
-    # D^-1 A sees the entry, before any Galerkin product or Krylov iteration
+    # D^-1 A sees the entry, before any Krylov iteration.  The coarse levels
+    # come from the clean Jacobian, as a later Newton step carries them
     g = cube(-1.0, 1.0, 13)
     J = assemble_jacobian(ScalarField.sample(g, Quadratic.standard(3)))
+    coarse = solver._coarse_levels(J, g.shape)
     J.data[J.offsets.tolist().index(1), 5] = bad  # entry (4, 5)
     assert np.isfinite(J.diagonal()).all() and (J.diagonal() != 0.0).all()
     with pytest.raises(LinearSolveFailure, match="Gershgorin"):
-        solver._v_cycle(J, g.shape)
+        solver._v_cycle(J, g.shape, coarse)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_off_diagonal_in_the_first_jacobian_raises_linear_solve_failure(bad):
+    # a first Newton step builds the coarse levels from the corrupted Jacobian itself
+    g = cube(-1.0, 1.0, 13)
+    J = assemble_jacobian(ScalarField.sample(g, Quadratic.standard(3)))
+    J.data[J.offsets.tolist().index(1), 5] = bad  # entry (4, 5)
+    with pytest.raises(LinearSolveFailure):
+        solver._v_cycle(J, g.shape, solver._coarse_levels(J, g.shape))
 
 
 def test_gmres_that_stops_short_fails_without_fallback(monkeypatch):
@@ -338,7 +350,7 @@ def test_gmres_that_stops_short_fails_without_fallback(monkeypatch):
     g = cube(-1.0, 1.0, 25)
     J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
     with pytest.raises(LinearSolveFailure, match="relative residual"):
-        solver._solve_sparse(J, np.ones(J.shape[0]), g)
+        solver._solve_sparse(J, np.ones(J.shape[0]), g, solver._coarse_levels(J, g.shape))
 
 
 def test_linear_solve_failure_names_krylov_iterations_and_restarts(monkeypatch):
@@ -347,7 +359,7 @@ def test_linear_solve_failure_names_krylov_iterations_and_restarts(monkeypatch):
     g = cube(-1.0, 1.0, 13)
     J = assemble_jacobian(ScalarField.sample(g, Counterexample(0.25)))
     with pytest.raises(LinearSolveFailure, match=r"\(Krylov iterations 6, restarts 1\)$"):
-        solver._solve_sparse(J, np.ones(J.shape[0]), g)
+        solver._solve_sparse(J, np.ones(J.shape[0]), g, solver._coarse_levels(J, g.shape))
 
 
 def _identity(v):
@@ -382,7 +394,7 @@ def test_gmres_restart_path_agrees_with_splu(monkeypatch):
     monkeypatch.setattr(solver, "_GMRES_RESTART", 4)
     monkeypatch.setattr(solver, "_GMRES_CYCLES", 60)
     g, J, rhs = _first_newton_system(13)
-    x, iters, restarts = solver._gmres(J, rhs, solver._v_cycle(J, g.shape))
+    x, iters, restarts = solver._gmres(J, rhs, solver._v_cycle(J, g.shape, solver._coarse_levels(J, g.shape)))
     assert restarts >= 1 and iters > 4
     direct = spla.splu(J.tocsc()).solve(rhs)
     assert _relres(J, x, rhs) <= 1e-10
@@ -395,19 +407,19 @@ def test_first_newton_system_at_25_cubed_takes_at_most_22_v_cycles(monkeypatch, 
     applied = []
     v_cycle = solver._v_cycle
 
-    def counted(mat, shape):
-        cycle = v_cycle(mat, shape)
+    def counted(mat, shape, coarse):
+        cycle = v_cycle(mat, shape, coarse)
         return lambda r: applied.append(1) or cycle(r)
 
     monkeypatch.setattr(solver, "_v_cycle", counted)
-    x = solver._solve_sparse(J, rhs, g)
+    x = solver._solve_sparse(J, rhs, g, solver._coarse_levels(J, g.shape))
     assert _relres(J, x, rhs) <= 1e-10
     assert len(applied) <= bound
 
 
 def _first_system_v_cycles(m):
     g, J, rhs = _first_newton_system(m)
-    cycle = solver._v_cycle(J, g.shape)
+    cycle = solver._v_cycle(J, g.shape, solver._coarse_levels(J, g.shape))
     applied = []
     x, _, _ = solver._gmres(J, rhs, lambda r: applied.append(1) or cycle(r))
     assert _relres(J, x, rhs) <= 1e-10
@@ -479,8 +491,8 @@ def _newton_and_krylov_counts(monkeypatch, run, fresh):
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_gmres", counted)
         if fresh:  # the whole hierarchy rebuilt from every step's Jacobian
-            real_solve = solver._solve_sparse
-            mp.setattr(solver, "_solve_sparse", lambda mat, rhs, grid, coarse=None: real_solve(mat, rhs, grid))
+            real_solve, build = solver._solve_sparse, solver._coarse_levels
+            mp.setattr(solver, "_solve_sparse", lambda mat, rhs, grid, coarse: real_solve(mat, rhs, grid, build(mat, grid.shape)))
         solves = _record_newton_solves(mp)
         outer = run()
     return solves, outer, krylov
@@ -508,7 +520,7 @@ def test_newton_step_carries_no_earlier_jacobian(monkeypatch):
         refs.append(weakref.ref(jac))
         return jac
 
-    def solve(mat, rhs, grid, coarse=None):
+    def solve(mat, rhs, grid, coarse):
         alive.append(sum(ref() is not None for ref in refs[:-1]))
         return real_solve(mat, rhs, grid, coarse)
 
@@ -541,7 +553,7 @@ def test_nan_in_newton_rhs_raises_linear_solve_failure():
     rhs = np.ones(J.shape[0])
     rhs[7] = np.nan
     with pytest.raises(LinearSolveFailure, match="non-finite after 0 Krylov iterations"):
-        solver._solve_sparse(J, rhs, g)
+        solver._solve_sparse(J, rhs, g, solver._coarse_levels(J, g.shape))
 
 
 def test_gmres_zero_givens_pivot_raises_linear_solve_failure():
@@ -912,8 +924,23 @@ def test_ellipticity_guard_rejects_concave_start():
     g = cube(-1.0, 1.0, 7)
     problem = DirichletProblem.from_candidate(g, Quadratic.standard(3))
     bad = ScalarField.from_callable(g, lambda t, x, y: -(t**2))
-    with pytest.raises(EllipticityLost):
+    with pytest.raises(EllipticityLost, match="initial iterate has min u_tt") as info:
         newton_solve(problem, init=bad)
+    # the report is that of the start, its boundary ring reset to the problem's data
+    u = bad.values.copy()
+    u[g.boundary_mask()] = problem.boundary.values[g.boundary_mask()]
+    res = assemble_residual(ScalarField(g, u))
+    norm = float(np.linalg.norm(res))
+    assert info.value.report.to_dict() == {
+        "converged": False,
+        "iterations": 0,
+        "residual_norm": norm,
+        "residual_max": float(np.abs(res).max()),
+        "min_u11": float(second_diff(u, 0, g.spacing[0]).min()),
+        "tol": problem.default_tol(),
+        "residual_history": [norm],
+    }
+    assert info.value.report.solution is None
 
 
 def test_init_grid_mismatch_rejected():
@@ -953,6 +980,18 @@ def test_rigidity_sweep_converges_every_row_at_fine_spacing(n):
     rows = rigidity_sweep(Quadratic.standard(3), eps=0.1, sizes=(1, 2, 4), h=1.0 / n)
     assert [r["error"] for r in rows] == [None, None, None]
     assert all(r["converged"] for r in rows)
+
+
+def test_rigidity_rows_obey_the_dyadic_scaling_law():
+    # u_L(x) = L^2 u(x / L) takes the unit box at bump amplitude eps / L^2 to
+    # the box [-L, L]^3 at eps, and keeps the standard quadratic.  At L = 2, 4
+    # every scaling is exact in binary, so the rows agree bit for bit, the
+    # spacing and u_t scaled by L
+    base = Quadratic.standard(3)
+    rows = rigidity_sweep(base, eps=0.1, sizes=(1, 2, 4), h=0.125)
+    for row, L in zip(rows, (1.0, 2.0, 4.0)):
+        (unit,) = rigidity_sweep(base, eps=0.1 / L**2, sizes=(1,), h=0.125)
+        assert row == dict(unit, L=L, h=L * unit["h"], max_u1_axis=L * unit["max_u1_axis"])
 
 
 def test_rigidity_sweep_validation():
