@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -128,13 +127,6 @@ class Poly:
                 out[tuple(ne)] = out.get(tuple(ne), 0.0) + c * e[var]
         return Poly(self.nvars, out)
 
-    def partial(self, index: Iterable[int]) -> "Poly":
-        p = self
-        for var, k in enumerate(index):
-            for _ in range(int(k)):
-                p = p.deriv(var)
-        return p
-
     def laplacian(self) -> "Poly":
         out = Poly.zero(self.nvars)
         for var in range(self.nvars):
@@ -173,14 +165,6 @@ class Poly:
                     term = term * X[:, var] ** k
             out += term
         return out
-
-    def eval_many_dd(self, X: np.ndarray):
-        """Compensated evaluation; returns a double-double pair of arrays.
-
-        The monomials come from ``_monomial_table``; polynomials evaluated at
-        the same points can share one table through ``_eval_dd``.
-        """
-        return self._eval_dd(_monomial_table(np.asarray(X, dtype=float), self.coeffs))
 
     def _eval_dd(self, table):
         """The compensated sum of c * monomial over the terms, in coefficient
@@ -562,8 +546,8 @@ class HeForm(CandidateSolution):
 
     def _partial(self, alpha: tuple[int, ...]) -> tuple[Poly, Poly]:
         """b and g differentiated by the transverse multi-index alpha.  Each
-        derivative is made once per candidate, from the cached one below it
-        in the order of ``Poly.partial``: alpha's last variable is the last
+        derivative is made once per candidate, from the cached one below it,
+        differentiating variable 0 first: alpha's last variable is the last
         differentiated."""
         if alpha not in self._partials:
             var = max(v for v, k in enumerate(alpha) if k)

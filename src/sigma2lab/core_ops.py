@@ -105,9 +105,6 @@ class Grid:
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, m) for (lo, hi), m in zip(self.bounds, self.shape)]
 
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*self.axes(), indexing="ij"))
-
     def points(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), C node order."""
         return mesh_points(self.axes())
@@ -139,10 +136,6 @@ class ScalarField:
         if not np.all(np.isfinite(values)):
             raise ConfigError("field values must be finite")
         self.values = values
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
 
     @classmethod
     def sample(cls, grid: Grid, candidate) -> "ScalarField":

@@ -183,12 +183,10 @@ def _ricci_batch(data: dict[str, np.ndarray]) -> np.ndarray:
     return -(d2det / det - ddet[:, :, None] * ddetbar[:, None, :] / det**2)
 
 
-def _riemann_batch(data: dict[str, np.ndarray]) -> np.ndarray:
-    """R_{i jbar k lbar} = -d2g[k,l,i,j] + g^{pq} dg[k,i,q] dgbar[l,p,j]."""
-    g, dg, dgbar, d2g = data["g"], data["dg"], data["dgbar"], data["d2g"]
-    ginv_mat = np.linalg.inv(g)  # (n, a, b) with sum_b g[i,b] ginv[b,j] = delta
-    # g^{pq} (first index unbarred) is the transpose of the matrix inverse
-    gup = np.swapaxes(ginv_mat, -1, -2)
+def _riemann_batch(data: dict[str, np.ndarray], gup: np.ndarray) -> np.ndarray:
+    """R_{i jbar k lbar} = -d2g[k,l,i,j] + g^{pq} dg[k,i,q] dgbar[l,p,j], with
+    ``gup`` the inverse metric g^{pq} of ``_curvature_of``."""
+    dg, dgbar, d2g = data["dg"], data["dgbar"], data["d2g"]
     corr = np.einsum("npq,nkiq,nlpj->nijkl", gup, dg, dgbar)
     rm = -np.transpose(d2g, (0, 3, 4, 1, 2)) + corr
     return rm
@@ -226,23 +224,25 @@ def _curvature_of(data: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     g = data["g"]
     with np.errstate(over="raise", invalid="raise"):
         _require_pd(g, data["points"])
-        rm = _riemann_batch(data)
+        # g^{pq} (first index unbarred) is the transpose of the matrix inverse
+        gup = np.swapaxes(np.linalg.inv(g), -1, -2)
+        rm = _riemann_batch(data, gup)
         return {
             "points": data["points"],
             "g": g,
             "det_g": _det(g).real,
             "ricci": _ricci_batch(data),
             "riemann": rm,
-            "riemann_norm_sq": _riemann_norm_sq(g, rm),
+            "riemann_norm_sq": _riemann_norm_sq(gup, rm),
         }
 
 
-def _riemann_norm_sq(g: np.ndarray, rm: np.ndarray) -> np.ndarray:
-    """|Rm|^2 = g^{ia} g^{bj} g^{kc} g^{dl} R_{a jbar c lbar} conj(R_{i bbar k dbar}).
+def _riemann_norm_sq(gup: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    """|Rm|^2 = g^{ia} g^{bj} g^{kc} g^{dl} R_{a jbar c lbar} conj(R_{i bbar k dbar}),
+    with ``gup`` the inverse metric g^{pq}.
 
     Values in (-1e-10, 0) are rounding noise around a flat metric and read 0.
     """
-    gup = np.swapaxes(np.linalg.inv(g), -1, -2)
     norm = np.einsum(
         "nia,nbj,nkc,ndl,najcl,nibkd->n", gup, gup, gup, gup, rm, np.conj(rm)
     ).real

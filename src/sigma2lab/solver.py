@@ -51,14 +51,14 @@ linearisation indefinite where sigma2_tilde <= 0.  When no root qualifies
 (the exponential data, say), the start is built by nested iteration
 (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001, §5.3): one Newton
 solve per level of the ladder below the fine one, each started from the
-coarser level's solution.  The coarsest level starts from a family member
-with u_tt > 0, its cone entry: u_tt of u_harmonic + c*w is affine in c at
-every node, so the c with u_tt > 0 everywhere form one interval, read off in
-closed form.  Each level's solution reaches the next, finer one through the
-tensor-product not-a-knot cubic spline read off at the finer nodes: per
-axis the linear table less the spline's moment correction (``_spline_eval``).
-The coarse levels' boundary data is the fine data read off the same way.  A
-level where that prolongation breaks u_tt > 0 starts from its cone entry.
+coarser level's solution.  Each solution reaches the next, finer level
+through the tensor-product not-a-knot cubic spline read off at its nodes
+(``_spline_eval``), and the fine boundary data reaches the coarse levels the
+same way.  The coarsest level, and any level where the prolongation breaks
+u_tt > 0, starts from its cone entry: the Poisson form of sigma2_tilde = 1,
+Lap u = sqrt((u_tt - Lap_x u)^2 + 4 |grad_x u_t|^2 + 4) (Benamou, Froese &
+Oberman, *ESAIM: M2AN* 2010), iterated from u_harmonic into the full cone.
+The fine level's start is returned unsolved: its Newton steps are the caller's.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ _GMRES_CYCLES = 5
 _SMOOTHING_SWEEPS = 2
 _CHEBYSHEV_RATIO = 8
 _LINE_SEARCH_HALVINGS = 30  # step halvings the Newton line search tries
+_CONE_ENTRY_ITERATIONS = 200  # fixed-point iterations the auto start's cone entry tries
 
 
 @dataclass
@@ -451,15 +452,11 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _calibrated_family(problem: DirichletProblem):
-    """The one-parameter family u_c = u_harm + c * w, its calibrated roots and
-    its u_tt cone.
+    """The one-parameter family u_c = u_harm + c * w and its calibrated roots.
 
     Lap_h(u_harm) = 0 with the problem's boundary data and Lap_h(w) = 1 with
     zero data.  The mean discrete operator value of u_c is an exact quadratic
-    in c; returns u_harm, w, the real roots of (mean value - 1) and the open
-    interval (lo, hi) of c with u_tt > 0 at every node.  At a node u_tt is
-    alpha + c * beta (the u_tt of u_harm and w), so lo and hi are the extreme
-    -alpha/beta over beta > 0 and beta < 0; beta = 0 with alpha <= 0 empties it.
+    in c; returns u_harm, w and the real roots of (mean value - 1).
     """
     grid = problem.grid
     h = grid.spacing
@@ -483,12 +480,7 @@ def _calibrated_family(problem: DirichletProblem):
     roots = [r.real for r in np.roots([a2, a1, f0]) if abs(r.imag) <= 1e-9 * (1 + abs(r.real))]
     if not roots:
         roots = [-a1 / (2.0 * a2)] if a2 != 0.0 else [0.0]
-    alpha, beta = second_diff(harm, 0, h[0]), second_diff(w, 0, h[0])
-    lo = float((-alpha[beta > 0.0] / beta[beta > 0.0]).max(initial=-np.inf))
-    hi = float((-alpha[beta < 0.0] / beta[beta < 0.0]).min(initial=np.inf))
-    if np.any((beta == 0.0) & (alpha <= 0.0)):
-        lo, hi = np.inf, -np.inf
-    return harm, w, roots, (lo, hi)
+    return harm, w, roots
 
 
 def _calibrated_start(grid: Grid, family) -> ScalarField | None:
@@ -496,7 +488,7 @@ def _calibrated_start(grid: Grid, family) -> ScalarField | None:
     and sigma2_tilde > 0 at every node, with the largest u_tt margin; None if
     no root does.  The linearisation's symbol [[Lap_x u, -b^T], [-b, u_tt I]]
     is positive definite exactly there (``core_ops.sigma2_linearization``)."""
-    harm, w, roots, _ = family
+    harm, w, roots = family
     h = grid.spacing
     fields = [harm + c * w for c in roots]
     inside = [u for u in fields if _min_u11(u, h) > 0.0 and sigma2_interior(u, h).min() > 0.0]
@@ -504,22 +496,27 @@ def _calibrated_start(grid: Grid, family) -> ScalarField | None:
 
 
 def _cone_entry(grid: Grid, family) -> ScalarField:
-    """The family member that starts Newton on a ladder level with no usable
-    coarser solution, with u_tt > 0 but perhaps not sigma2_tilde > 0: the
-    root inside the u_tt cone with the largest margin, else the cone endpoint
-    nearest a root moved inward by 1e-3 (1 + |endpoint|) or half the cone,
-    whichever is less."""
-    harm, w, roots, (lo, hi) = family
-    if not lo < hi:
-        raise EllipticityLost("auto initialization cannot reach u_tt > 0 for this data")
-    inside = [c for c in roots if lo < c < hi]
-    if inside:
-        c = max(inside, key=lambda c: _min_u11(harm + c * w, grid.spacing))
-    else:
-        e = min((e for e in (lo, hi) if math.isfinite(e)), key=lambda e: min(abs(e - r) for r in roots))
-        step = min(1e-3 * (1.0 + abs(e)), 0.5 * (hi - lo))
-        c = e + step if e == lo else e - step
-    return ScalarField(grid, harm + c * w)
+    """The start of a ladder level with no usable coarser solution: the first
+    iterate of u <- u_harm + P_0 sqrt((u_tt - Lap_x u)^2 + 4 sum_i u_ti^2 + 4)
+    from u_harm with u_tt > 0 and sigma2_tilde > 0 at every node, P_0 the
+    zero-data Poisson solve.  Raises EllipticityLost after _CONE_ENTRY_ITERATIONS."""
+    harm = u = family[0]
+    # data far outside the cone can overflow; such an iterate is never inside
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_CONE_ENTRY_ITERATIONS + 1):
+            utt, diag, cross = hessian_parts(u, grid.spacing)
+            lap_x, grad_t = sum(diag), sum(c * c for c in cross)
+            sigma2 = utt * lap_x - grad_t
+            if utt.min() > 0.0 and sigma2.min() > 0.0:
+                return ScalarField(grid, u)
+            if k == _CONE_ENTRY_ITERATIONS:
+                break
+            load = np.sqrt((utt - lap_x) ** 2 + 4.0 * grad_t + 4.0)
+            u = harm + _interior_embed(grid, np.zeros(grid.shape), _dirichlet_poisson(grid, load))
+    raise EllipticityLost(
+        f"auto initialization left the ellipticity cone after {k} fixed-point iterations "
+        f"(min sigma2_tilde = {sigma2.min():.6g})"
+    )
 
 
 def _coarsen_levels(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -583,10 +580,10 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
     the ellipticity cone, else nested iteration up the ladder.  Each level
     below the fine one gets one Newton solve, started from the prolonged
     coarser solution if that keeps u_tt > 0, else from the level's cone
-    entry (always so on the coarsest level).  The fine level takes the
-    prolonged field as it is, or solves from its cone entry if the seam broke
-    there.  A coarse level's boundary data is the fine data read off at its
-    nodes by the spline within each face: exact subsampling on nested axes."""
+    entry (always so on the coarsest level).  The fine level's start is
+    chosen the same way and returned unsolved.  A coarse level's boundary
+    data is the fine data read off at its nodes by the spline within each
+    face: exact subsampling on nested axes."""
     grid = problem.grid
     family = _calibrated_family(problem)
     start = _calibrated_start(grid, family)
@@ -607,12 +604,11 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
         if u is None or _min_u11(vals, g.spacing) <= 0.0:
             # the coarsest level, or a prolongation seam that broke the cone
             start = _cone_entry(g, family if shape == grid.shape else _calibrated_family(level))
-        elif shape == grid.shape:
-            return ScalarField(g, vals)
         else:
             start = ScalarField(g, vals)
+        if shape == grid.shape:
+            return start
         u = newton_solve(level, init=start, max_iter=80).solution
-    return u
 
 
 def newton_solve(

@@ -4,12 +4,16 @@ Everything here goes through plain central differences in the real
 coordinates (t, x, y), with one Richardson step where accuracy matters.
 The package computes curvature from closed-form derivative expressions,
 so agreement with these routines is a genuine two-route check rather
-than the same code run twice.
+than the same code run twice.  The last section holds the test-only
+constructors and references that the package itself never calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from sigma2lab.candidates import _monomial_table
+from sigma2lab.core_ops import ScalarField
 
 
 def sigma2_tilde_eig(H) -> float:
@@ -241,3 +245,33 @@ def harmonic_dual_solution(points, eps: float) -> np.ndarray:
         if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
             break
     return t * z - (z**2 / 2 - transverse + c * np.exp(z))
+
+
+# ---------------------------------------------------------------------------
+# test-only constructors and references the package never calls
+
+
+def grid_meshgrid(grid) -> tuple[np.ndarray, ...]:
+    """The node coordinate arrays of ``grid``, indexing "ij"."""
+    return tuple(np.meshgrid(*grid.axes(), indexing="ij"))
+
+
+def field_from_callable(grid, fn) -> ScalarField:
+    """``fn`` evaluated on the node coordinate arrays of ``grid``."""
+    return ScalarField(grid, np.asarray(fn(*grid_meshgrid(grid)), dtype=float))
+
+
+def poly_partial(poly, index):
+    """``poly`` differentiated by the multi-index ``index``, variable 0 first:
+    the order in which ``HeForm._partial`` must make each derivative."""
+    p = poly
+    for var, k in enumerate(index):
+        for _ in range(int(k)):
+            p = p.deriv(var)
+    return p
+
+
+def poly_eval_dd(poly, X):
+    """Compensated evaluation of ``poly`` at the points ``X``, a double-double
+    pair of arrays, through one ``_monomial_table`` and ``Poly._eval_dd``."""
+    return poly._eval_dd(_monomial_table(np.asarray(X, dtype=float), poly.coeffs))

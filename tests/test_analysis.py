@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sigma2lab.analysis import (
     _LAPLACIAN_BLOCK,
     _ROOT_BLOCK,
@@ -265,7 +266,7 @@ def test_barrier_detects_an_inflated_ellipsoid():
 
 def test_legendre_quadratic_is_the_identity_in_z():
     theta = partial_legendre(Quadratic.standard(3))
-    z = theta.grid.meshgrid()[0]
+    z = oracles.grid_meshgrid(theta.grid)[0]
     np.testing.assert_allclose(theta.values, z, atol=1e-12)
     assert harmonicity_test(theta) <= 1e-10
 
@@ -274,7 +275,7 @@ def test_legendre_he_form_closed_form():
     he = make_he_form(0.5, HarmonicPoly(2, {(2, 0): 1.0, (0, 2): -1.0}))
     spans = ((-0.5, 0.5), (-0.5, 0.5))
     theta = partial_legendre(he, x_spans=spans)
-    zg, xg, yg = theta.grid.meshgrid()
+    zg, xg, yg = oracles.grid_meshgrid(theta.grid)
     # u_t = 2 a t + b(x), so t = (z - b) / (2a)
     expected = (zg - (xg**2 - yg**2)) / (2 * he.a)
     np.testing.assert_allclose(theta.values, expected, atol=1e-10)
@@ -471,21 +472,21 @@ def test_legendre_field_path_exact_for_quadratic():
     q = Quadratic.standard(3)
     g = Grid(((-1.0, 1.0),) * 3, (21, 21, 21))
     theta = partial_legendre(ScalarField.sample(g, q))
-    z = theta.grid.meshgrid()[0]
+    z = oracles.grid_meshgrid(theta.grid)[0]
     # u_t is linear in t, so the per-line interpolation is exact
     np.testing.assert_allclose(theta.values, z, atol=1e-12)
 
 
 def test_legendre_field_path_rejects_non_monotone_lines():
     g = Grid(((-2.0, 2.0),) * 2, (21, 21))
-    wavy = ScalarField.from_callable(g, lambda t, x: np.sin(t) + x**2)
+    wavy = oracles.field_from_callable(g, lambda t, x: np.sin(t) + x**2)
     with pytest.raises(NotMonotone):
         partial_legendre(wavy)
 
 
 def test_harmonicity_test_zero_for_affine_field():
     g = Grid(((-1.0, 1.0),) * 2, (9, 9))
-    theta = ScalarField.from_callable(g, lambda z, x: 2.0 * z - 3.0 * x + 1.0)
+    theta = oracles.field_from_callable(g, lambda z, x: 2.0 * z - 3.0 * x + 1.0)
     assert harmonicity_test(theta) == 0.0
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import sigma2lab
 from sigma2lab.analysis import _ROOT_BLOCK
 from sigma2lab import cli
@@ -276,7 +277,7 @@ def _reject_constant(name):
 def test_classify_field_with_constant_nonpositive_u_tt_is_not_he_form(fn, tmp_path, capsys):
     # He's form a t^2 + t b + g needs a > 0; a constant u_tt <= 0 is not it
     g = Grid(((-1.0, 1.0),) * 3, (9, 9, 9))
-    ScalarField.from_callable(g, fn).save(tmp_path / "u")
+    oracles.field_from_callable(g, fn).save(tmp_path / "u")
     code = main(["classify", "--field", str(tmp_path / "u")])
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == 0

@@ -171,7 +171,7 @@ def test_grid_validation(bounds, shape):
 
 def test_second_diff_exact_on_quadratics():
     g = Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(9, 11))
-    f = ScalarField.from_callable(g, lambda t, x: 3.0 * t**2 + t * x + 2.0 * x**2)
+    f = oracles.field_from_callable(g, lambda t, x: 3.0 * t**2 + t * x + 2.0 * x**2)
     d2t = second_diff(f.values, 0, g.spacing[0])
     assert d2t.shape == g.interior_shape
     np.testing.assert_allclose(d2t, 6.0, atol=1e-11)
@@ -305,7 +305,7 @@ def test_field_sample_matches_from_callable():
     q = Quadratic.standard(2)
     g = Grid(bounds=((-1.0, 2.0), (0.0, 1.0)), shape=(6, 5))
     a = ScalarField.sample(g, q)
-    b = ScalarField.from_callable(g, lambda t, x: 0.5 * (t**2 + x**2))
+    b = oracles.field_from_callable(g, lambda t, x: 0.5 * (t**2 + x**2))
     np.testing.assert_allclose(a.values, b.values, atol=1e-14)
 
 

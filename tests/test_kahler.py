@@ -240,7 +240,7 @@ def test_riemann_norm_clamps_rounding_noise_only():
     g = np.array([np.diag([np.exp(0.25j * np.pi), 1.0])] * 3)
     rm = np.zeros((3, 2, 2, 2, 2), dtype=complex)
     rm[:, 0, 0, 0, 0] = np.sqrt([1e-11, 1e-9, 0.0])
-    norm = kahler._riemann_norm_sq(g, rm)
+    norm = kahler._riemann_norm_sq(np.swapaxes(np.linalg.inv(g), -1, -2), rm)
     assert norm[0] == 0.0
     assert norm[1] == pytest.approx(-1e-9, rel=1e-12)
     assert norm[2] == 0.0

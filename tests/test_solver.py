@@ -528,7 +528,7 @@ def test_newton_step_carries_no_earlier_jacobian(monkeypatch):
     monkeypatch.setattr(solver, "_solve_sparse", solve)
     problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, 25), Counterexample(0.25))
     assert solver.newton_solve(problem).converged
-    assert len(alive) == 11  # 6 steps at 7^3, 3 at 13^3, 2 at 25^3
+    assert len(alive) == 8  # 3 steps at 7^3, 3 at 13^3, 2 at 25^3
     assert alive == [0] * len(alive)
 
 
@@ -615,8 +615,8 @@ _BOX = ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0))
 def test_prolong_reproduces_a_tensor_cubic(bounds, shape, fine_shape):
     coarse = Grid(bounds, shape)
     fine = Grid(bounds, fine_shape)
-    want = ScalarField.from_callable(fine, _tensor_cubic).values
-    got = solver._resample(ScalarField.from_callable(coarse, _tensor_cubic).values, fine.shape)
+    want = oracles.field_from_callable(fine, _tensor_cubic).values
+    got = solver._resample(oracles.field_from_callable(coarse, _tensor_cubic).values, fine.shape)
     assert got.shape == fine.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -637,22 +637,42 @@ def test_every_ladder_ends_at_most_8_nodes_per_axis(dim):
 
 
 # ---------------------------------------------------------------------------
-# auto start: the calibrated family, its u_tt cone and the start test
+# auto start: the calibrated family, the start test and the cone entry
 
 
-@pytest.mark.parametrize("m, lo_want", [(7, 9.3338), (11, 10.1142)])
-def test_u_tt_cone_of_exponential_levels_matches_a_brute_scan(m, lo_want):
+def _in_full_cone(u, g):
+    return solver._min_u11(u, g.spacing) > 0.0 and sigma2_interior(u, g.spacing).min() > 0.0
+
+
+def _poisson_map(harm, u, g):
+    # one step of the cone entry's fixed point, written from its definition:
+    # Lap_h u_next = sqrt((u_tt - Lap_x u)^2 + 4 sum_i u_ti^2 + 4), u_next = harm on the boundary
+    utt, diag, cross = hessian_parts(u, g.spacing)
+    load = np.sqrt((utt - sum(diag)) ** 2 + 4.0 * sum(c**2 for c in cross) + 4.0)
+    v = np.zeros(g.shape)
+    v[1:-1, 1:-1, 1:-1] = solver._dirichlet_poisson(g, load)
+    return harm + v
+
+
+@pytest.mark.parametrize("m, iterations", [(7, 7), (11, 16)])
+def test_cone_entry_of_exponential_levels_iterates_on_to_the_solution(m, iterations, monkeypatch):
     g = cube(-1.0, 1.0, m)
-    harm, w, roots, (lo, hi) = solver._calibrated_family(
-        DirichletProblem.from_candidate(g, Counterexample(0.25))
-    )
-    assert lo == pytest.approx(lo_want, abs=1e-4) and hi == np.inf
-    assert not any(lo < r for r in roots)  # no calibrated root is elliptic: the ladder runs
-    margin = [solver._min_u11(harm + c * w, g.spacing) for c in lo + np.linspace(-1.0, 1.0, 201)]
-    assert max(margin[:100]) <= 0.0 and min(margin[101:]) > 0.0
-    step = 1e-7 * (1.0 + lo)
-    assert solver._min_u11(harm + (lo - step) * w, g.spacing) <= 0.0
-    assert solver._min_u11(harm + (lo + step) * w, g.spacing) > 0.0
+    problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
+    family = harm, w, roots = solver._calibrated_family(problem)
+    assert not any(_in_full_cone(harm + c * w, g) for c in roots)  # the ladder runs
+    entry = solver._cone_entry(g, family).values
+    assert _in_full_cone(entry, g)
+    # the first iterate inside the cone: one iteration fewer stops short
+    monkeypatch.setattr(solver, "_CONE_ENTRY_ITERATIONS", iterations - 1)
+    with pytest.raises(EllipticityLost, match=f"after {iterations - 1} fixed-point iterations"):
+        solver._cone_entry(g, family)
+    monkeypatch.setattr(solver, "_CONE_ENTRY_ITERATIONS", iterations)
+    np.testing.assert_array_equal(solver._cone_entry(g, family).values, entry)
+    # iterating on from the entry reaches Newton's discrete solution
+    want, u = newton_solve(problem).solution.values, entry
+    for _ in range(60):
+        u = _poisson_map(harm, u, g)
+    assert np.abs(u - want).max() <= 10 * problem.default_tol()
 
 
 def test_start_test_rejects_a_calibrated_root_outside_the_sigma2_cone():
@@ -660,25 +680,20 @@ def test_start_test_rejects_a_calibrated_root_outside_the_sigma2_cone():
     # sigma2 <= 0 at 37 nodes leaves the linearisation indefinite there
     problem = _rigidity_problem(25)
     g = problem.grid
-    family = harm, w, roots, (lo, hi) = solver._calibrated_family(problem)
-    (c,) = [r for r in roots if lo < r < hi]
+    family = harm, w, roots = solver._calibrated_family(problem)
+    (c,) = [r for r in roots if solver._min_u11(harm + r * w, g.spacing) > 0.0]
     assert solver._min_u11(harm + c * w, g.spacing) > 0.0
     assert int((sigma2_interior(harm + c * w, g.spacing) <= 0.0).sum()) == 37
     assert solver._calibrated_start(g, family) is None
-    # the root is still the cone entry: it lies inside the u_tt cone
-    np.testing.assert_array_equal(solver._cone_entry(g, family).values, harm + c * w)
+    # the cone entry lies in the full cone, u_tt > 0 and sigma2 > 0
+    assert _in_full_cone(solver._cone_entry(g, family).values, g)
 
 
-def test_empty_u_tt_cone_raises_ellipticity_lost(monkeypatch, capsys):
-    # w = 0 (the unit-load solve returned as zero) makes beta vanish at every
-    # node, and the harmonic part of the exponential data has u_tt <= 0 at some
-    poisson = solver._dirichlet_poisson
-    monkeypatch.setattr(
-        solver, "_dirichlet_poisson", lambda grid, load: poisson(grid, load) * (not np.all(load == 1.0))
-    )
+def test_cone_entry_past_its_cap_raises_ellipticity_lost(monkeypatch, capsys):
+    # 11^3 climbs 6^3 -> 11^3, and the 6^3 entry needs 5 iterations
+    monkeypatch.setattr(solver, "_CONE_ENTRY_ITERATIONS", 4)
     problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, 11), Counterexample(0.25))
-    assert solver._calibrated_family(problem)[3] == (np.inf, -np.inf)
-    with pytest.raises(EllipticityLost, match="cannot reach u_tt > 0"):
+    with pytest.raises(EllipticityLost, match=r"after 4 fixed-point iterations \(min sigma2_tilde = -"):
         newton_solve(problem)
     assert main(["solve", "--candidate", "counterexample", "--grid", "3,-1..1,11"]) == 3
     assert "solver failure: EllipticityLost" in capsys.readouterr().err
@@ -731,7 +746,7 @@ def test_auto_start_solves_once_per_ladder_level(dim, m, monkeypatch):
     # exponential solution's trace on the plane y = 0
     g = cube(-1.0, 1.0, m, dim)
     problem = DirichletProblem(
-        g, ScalarField.from_callable(g, lambda t, *x: sum(v**2 for v in x) * np.exp(t) + np.exp(-t) / 4)
+        g, oracles.field_from_callable(g, lambda t, *x: sum(v**2 for v in x) * np.exp(t) + np.exp(-t) / 4)
     )
     newton, solved = solver.newton_solve, []
 
@@ -754,7 +769,7 @@ def test_problem_constructors_agree():
     g = cube(-1.0, 1.0, 5)
     q = Quadratic.standard(3)
     a = DirichletProblem.from_candidate(g, q)
-    b = DirichletProblem(g, ScalarField.from_callable(g, lambda t, x, y: 0.5 * (t**2) + 0.25 * (x**2 + y**2)))
+    b = DirichletProblem(g, oracles.field_from_callable(g, lambda t, x, y: 0.5 * (t**2) + 0.25 * (x**2 + y**2)))
     np.testing.assert_allclose(a.boundary.values, b.boundary.values, atol=1e-14)
     assert a.default_tol() == pytest.approx(1e-10 * np.sqrt(27))
 
@@ -825,6 +840,22 @@ def test_large_amplitude_harmonic_dual_solves_through_nested_iteration(monkeypat
     solves = _record_newton_solves(monkeypatch)
     assert _harmonic_dual_error(25, 3, 10.0) <= 1e-4
     assert [shape for shape, _ in solves] == [(7, 7, 7), (13, 13, 13)]
+
+
+def test_harmonic_dual_at_eps_300_solves_from_the_fine_cone_entry():
+    # eps = 300: both seams of the 7-13-25 ladder break u_tt > 0, so the 13^3
+    # and the fine level start from their cone entries
+    assert _harmonic_dual_error(25, 3, 300.0) <= 1e-4
+
+
+def test_report_counts_the_fine_steps_after_a_broken_seam():
+    # eps = 100 at 13^3: the 7^3 solution prolonged breaks u_tt > 0 on the fine
+    # grid, and the fine steps from its cone entry are the report's own
+    g = cube(-1.0, 1.0, 13)
+    exact = oracles.harmonic_dual_solution(g.points(), 100.0).reshape(g.shape)
+    rep = newton_solve(DirichletProblem(g, ScalarField(g, exact)))
+    assert rep.converged and rep.iterations > 0
+    assert len(rep.residual_history) == rep.iterations + 1
 
 
 @pytest.mark.parametrize(
@@ -923,7 +954,7 @@ def test_max_iter_exceeded_carries_partial_report():
 def test_ellipticity_guard_rejects_concave_start():
     g = cube(-1.0, 1.0, 7)
     problem = DirichletProblem.from_candidate(g, Quadratic.standard(3))
-    bad = ScalarField.from_callable(g, lambda t, x, y: -(t**2))
+    bad = oracles.field_from_callable(g, lambda t, x, y: -(t**2))
     with pytest.raises(EllipticityLost, match="initial iterate has min u_tt") as info:
         newton_solve(problem, init=bad)
     # the report is that of the start, its boundary ring reset to the problem's data
@@ -980,6 +1011,31 @@ def test_rigidity_sweep_converges_every_row_at_fine_spacing(n):
     rows = rigidity_sweep(Quadratic.standard(3), eps=0.1, sizes=(1, 2, 4), h=1.0 / n)
     assert [r["error"] for r in rows] == [None, None, None]
     assert all(r["converged"] for r in rows)
+
+
+_ROTATED = Quadratic(np.array([[1.0, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.35]]))
+
+
+@pytest.mark.parametrize("base", [Quadratic.standard(3), _ROTATED], ids=["standard", "rotated"])
+@pytest.mark.parametrize("eps", [0.4, 1.0])
+def test_rigidity_sweep_converges_every_row_at_large_bumps(base, eps, monkeypatch):
+    # at h = 1/12 the L = 1 row's seam into the fine level breaks u_tt > 0
+    outer, real = [], solver.newton_solve
+
+    def recorded(problem, init=None, **kwargs):
+        rep = real(problem, init, **kwargs)
+        if init is None:  # the sweep's own solves, not the ladder's
+            outer.append((problem, rep))
+        return rep
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    rows = rigidity_sweep(base, eps=eps, sizes=(1, 2, 4), h=1.0 / 12.0)
+    assert [r["error"] for r in rows] == [None, None, None]
+    assert all(r["converged"] for r in rows)
+    # the L = 1 row is the solution Newton reaches from the sampled base quadratic
+    problem, rep = outer[0]
+    from_base = real(problem, init=ScalarField.sample(problem.grid, base))
+    assert np.abs(rep.solution.values - from_base.solution.values).max() <= 1e-12
 
 
 def test_rigidity_rows_obey_the_dyadic_scaling_law():
