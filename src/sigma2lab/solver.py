@@ -50,14 +50,14 @@ u_tt > 0 and sigma2_tilde > 0 at every node; u_tt > 0 alone leaves the
 linearisation indefinite where sigma2_tilde <= 0.  When no root qualifies
 (the exponential data, say), the start is built by nested iteration
 (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001, §5.3): one Newton
-solve per level of the ladder below the fine one, each started from the
-coarser level's solution.  Each solution reaches the next, finer level
-through the tensor-product not-a-knot cubic spline read off at its nodes
-(``_spline_eval``), and the fine boundary data reaches the coarse levels the
-same way.  The coarsest level, and any level where the prolongation breaks
-u_tt > 0, starts from its cone entry: the Poisson form of sigma2_tilde = 1,
-Lap u = sqrt((u_tt - Lap_x u)^2 + 4 |grad_x u_t|^2 + 4) (Benamou, Froese &
-Oberman, *ESAIM: M2AN* 2010), iterated from u_harmonic into the full cone.
+solve per level of the ladder below the fine one.  Each solution reaches the
+next, finer level through the tensor-product not-a-knot cubic spline read off
+at its nodes (``_spline_eval``), and the fine boundary data reaches the
+coarse levels the same way.  Every level starts from its cone entry, seeded
+by the prolonged coarser solution, or by u_harmonic on the coarsest level:
+the Poisson form of sigma2_tilde = 1, Lap u = sqrt((u_tt - Lap_x u)^2 +
+4 |grad_x u_t|^2 + 4) (Benamou, Froese & Oberman, *ESAIM: M2AN* 2010),
+iterated from the seed into the full cone; a seed already inside is kept.
 The fine level's start is returned unsolved: its Newton steps are the caller's.
 """
 
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -495,12 +495,14 @@ def _calibrated_start(grid: Grid, family) -> ScalarField | None:
     return ScalarField(grid, max(inside, key=lambda u: _min_u11(u, h))) if inside else None
 
 
-def _cone_entry(grid: Grid, family) -> ScalarField:
-    """The start of a ladder level with no usable coarser solution: the first
-    iterate of u <- u_harm + P_0 sqrt((u_tt - Lap_x u)^2 + 4 sum_i u_ti^2 + 4)
-    from u_harm with u_tt > 0 and sigma2_tilde > 0 at every node, P_0 the
-    zero-data Poisson solve.  Raises EllipticityLost after _CONE_ENTRY_ITERATIONS."""
-    harm = u = family[0]
+def _cone_entry(grid: Grid, seed: np.ndarray, harmonic) -> ScalarField:
+    """The start of a ladder level: the first iterate of u <- u_harm + P_0
+    sqrt((u_tt - Lap_x u)^2 + 4 sum_i u_ti^2 + 4) from ``seed`` with u_tt > 0
+    and sigma2_tilde > 0 at every node, P_0 the zero-data Poisson solve; the
+    seed itself when it lies in that cone.  ``harmonic()`` returns the level's
+    u_harm and is called only once an iterate needs it.  Raises
+    EllipticityLost after _CONE_ENTRY_ITERATIONS."""
+    u = seed
     # data far outside the cone can overflow; such an iterate is never inside
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(_CONE_ENTRY_ITERATIONS + 1):
@@ -512,9 +514,9 @@ def _cone_entry(grid: Grid, family) -> ScalarField:
             if k == _CONE_ENTRY_ITERATIONS:
                 break
             load = np.sqrt((utt - lap_x) ** 2 + 4.0 * grad_t + 4.0)
-            u = harm + _interior_embed(grid, np.zeros(grid.shape), _dirichlet_poisson(grid, load))
+            u = harmonic() + _interior_embed(grid, np.zeros(grid.shape), _dirichlet_poisson(grid, load))
     raise EllipticityLost(
-        f"auto initialization left the ellipticity cone after {k} fixed-point iterations "
+        f"cone entry found no iterate in the ellipticity cone after {k} fixed-point iterations "
         f"(min sigma2_tilde = {sigma2.min():.6g})"
     )
 
@@ -567,8 +569,9 @@ def _resample(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     within the same face of ``vals``.
 
     Cubic, not linear: the second differences of a piecewise-linear
-    interpolant vanish at inserted nodes, which would break the auto start's
-    u_tt > 0 guard.
+    interpolant vanish at inserted nodes, so its u_tt > 0 would fail there
+    and send every seam of the auto start through its cone entry's Poisson
+    solves.
     """
     for axis, (m, n) in enumerate(zip(vals.shape, shape)):
         vals = np.moveaxis(np.tensordot(_spline_eval(m, n), vals, axes=(1, axis)), 0, axis)
@@ -577,13 +580,14 @@ def _resample(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _auto_init(problem: DirichletProblem) -> ScalarField:
     """Starting field for Newton: the calibrated Laplace field if it lies in
-    the ellipticity cone, else nested iteration up the ladder.  Each level
-    below the fine one gets one Newton solve, started from the prolonged
-    coarser solution if that keeps u_tt > 0, else from the level's cone
-    entry (always so on the coarsest level).  The fine level's start is
-    chosen the same way and returned unsolved.  A coarse level's boundary
-    data is the fine data read off at its nodes by the spline within each
-    face: exact subsampling on nested axes."""
+    the ellipticity cone, else nested iteration up the ladder.  Every level
+    starts from its cone entry, seeded on the coarsest level by u_harm and on
+    every other by the prolonged coarser solution with the level's boundary
+    ring; each level below the fine one gets one Newton solve, and the fine
+    level's start is returned unsolved.  A coarse level's boundary data is the
+    fine data read off at its nodes by the spline within each face: exact
+    subsampling on nested axes.  A SolverError of the auto start names its
+    level."""
     grid = problem.grid
     family = _calibrated_family(problem)
     start = _calibrated_start(grid, family)
@@ -593,22 +597,17 @@ def _auto_init(problem: DirichletProblem) -> ScalarField:
     u = None
     for shape in _coarsen_levels(grid.shape):
         g = Grid(grid.bounds, shape)
-        if shape == grid.shape:
-            level = problem
-        else:
-            level = DirichletProblem(g, ScalarField(g, _resample(fine_b, shape)))
-        if u is not None:
-            vals = _resample(u.values, shape)
-            mask = g.boundary_mask()
-            vals[mask] = level.boundary.values[mask]
-        if u is None or _min_u11(vals, g.spacing) <= 0.0:
-            # the coarsest level, or a prolongation seam that broke the cone
-            start = _cone_entry(g, family if shape == grid.shape else _calibrated_family(level))
-        else:
-            start = ScalarField(g, vals)
-        if shape == grid.shape:
-            return start
-        u = newton_solve(level, init=start, max_iter=80).solution
+        level = problem if shape == grid.shape else DirichletProblem(g, ScalarField(g, _resample(fine_b, shape)))
+        harmonic = cache(lambda lv=level: family[0] if lv is problem else _calibrated_family(lv)[0])
+        mask = g.boundary_mask()
+        seed = harmonic() if u is None else np.where(mask, level.boundary.values, _resample(u.values, shape))
+        try:
+            start = _cone_entry(g, seed, harmonic)
+            if shape != grid.shape:
+                u = newton_solve(level, init=start).solution
+        except SolverError as exc:
+            raise type(exc)(f"auto start, level {'x'.join(map(str, shape))}: {exc}", exc.report) from exc
+    return start
 
 
 def newton_solve(

@@ -83,6 +83,25 @@ def test_solver_error_exits_three(capsys):
     assert partial["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "kappa, level, tol",
+    [("100", "13x13x13", 1e-10 * 11**1.5), ("1000", "7x7x7", 1e-10 * 5**1.5)],
+    ids=["kappa100", "kappa1000"],
+)
+def test_auto_start_failure_names_the_ladder_level_of_its_report(kappa, level, tol):
+    # at 25^3 these solves stop inside the auto start, on a coarser level than
+    # the one asked for; the partial report, with that level's tol, is the level's
+    code, out, err = _main_in_process(
+        "solve", "--candidate", "counterexample", "--kappa", kappa, "--grid", "3,-1..1,25"
+    )
+    assert (code, out) == (3, "")
+    head, body = err.split("\n", 1)
+    assert head == f"solver failure: MaxIterExceeded: auto start, level {level}: " + (
+        "line search exhausted 30 halvings at iteration 2"
+    )
+    assert json.loads(body)["tol"] == pytest.approx(tol, rel=1e-15)
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
@@ -789,6 +808,16 @@ _CANDIDATE_OPTIONS = {
     "heform": {"a": _NUMBER, "b-coeffs": _B_COEFFS, "dim": st.sampled_from("23")},
 }
 _SIZE = st.integers(-2, 2000).map(str)
+# relative spacings of rigidity and convergence: at most 9 nodes on a span of
+# length 2 (h >= 0.25), or invalid; never one that would allocate a large grid
+_SPACING = st.one_of(
+    st.floats(min_value=0.25, max_value=0.6).map(repr),
+    st.floats(min_value=0.25, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "-0.25", "-1", "nan", "inf", "-inf"]),
+)
+_SPACINGS = st.one_of(_joined(_SPACING, ",", 1, 4), st.sampled_from(["", "a", "0.5;0.25", "0.5,,0.25"]))
+# convergence boxes no longer than 2, or invalid
+_SHORT_SPAN = st.sampled_from(["-1..1", "0..1", "-0.5..0.5", "0..2", "1..-1", "0..0", "nan..1", "-inf..1", "a"])
 _COMMAND_OPTIONS = {
     "verify": {"box": _SPANS, "points": _SIZE, "tol": _NUMBER},
     "curvature": {"points": _joined(_VECTOR, ";", 1, 3), "sample": _SIZE, "tol": _NUMBER},
@@ -799,7 +828,13 @@ _COMMAND_OPTIONS = {
     },
     "classify": {"tol": _NUMBER},
     "solve": {"tol": _NUMBER, "max-iter": st.integers(-2, 60).map(str)},
+    "rigidity": {
+        "eps": _NUMBER, "sizes": st.one_of(st.sampled_from(["1,2", "0.5,1,4", "2,1"]), _VECTOR), "tol": _NUMBER,
+    },
+    "convergence": {"box": _SHORT_SPAN, "tol": _NUMBER, "ratio-lo": _NUMBER, "ratio-hi": _NUMBER},
 }
+# drawn on every call: the defaults would solve on 17^3 to 41^3 grids
+_SPACING_OPTIONS = {"rigidity": ("h", _SPACING), "convergence": ("h-list", _SPACINGS)}
 
 
 @st.composite
@@ -811,6 +846,9 @@ def _cli_calls(draw):
     argv = [command, f"--candidate={draw(_CANDIDATE_JSON) if tag == 'json' else tag}"]
     if command == "solve":
         argv.append(f"--grid={draw(_GRID)}")
+    if command in _SPACING_OPTIONS:
+        name, spacing = _SPACING_OPTIONS[command]
+        argv.append(f"--{name}={draw(spacing)}")
     for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=4)):
         argv.append(f"--{name}={draw(options[name])}")
     if command == "curvature" and draw(st.booleans()):
@@ -821,6 +859,10 @@ def _cli_calls(draw):
 @settings(deadline=None, max_examples=500, derandomize=True)
 @given(_cli_calls())
 @example(["verify", "--candidate=heform", '--b-coeffs={"x": 1}'])
+# calls that reach the auto start: a passing and a failing check, a solver failure
+@example(["rigidity", "--candidate=quadratic", "--h=0.25"])
+@example(["rigidity", "--candidate=quadratic", "--h=0.25", "--eps=1e3"])
+@example(["convergence", "--candidate=counterexample", "--kappa=1000", "--h-list=0.5,0.25"])
 def test_cli_ends_every_call_in_an_exit_code(argv):
     # in process, so an escaping exception (a RuntimeWarning included) fails
     # the test rather than ending in exit 1; exit 1 means a check failed

@@ -660,14 +660,14 @@ def test_cone_entry_of_exponential_levels_iterates_on_to_the_solution(m, iterati
     problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
     family = harm, w, roots = solver._calibrated_family(problem)
     assert not any(_in_full_cone(harm + c * w, g) for c in roots)  # the ladder runs
-    entry = solver._cone_entry(g, family).values
+    entry = solver._cone_entry(g, harm, lambda: harm).values
     assert _in_full_cone(entry, g)
     # the first iterate inside the cone: one iteration fewer stops short
     monkeypatch.setattr(solver, "_CONE_ENTRY_ITERATIONS", iterations - 1)
     with pytest.raises(EllipticityLost, match=f"after {iterations - 1} fixed-point iterations"):
-        solver._cone_entry(g, family)
+        solver._cone_entry(g, harm, lambda: harm)
     monkeypatch.setattr(solver, "_CONE_ENTRY_ITERATIONS", iterations)
-    np.testing.assert_array_equal(solver._cone_entry(g, family).values, entry)
+    np.testing.assert_array_equal(solver._cone_entry(g, harm, lambda: harm).values, entry)
     # iterating on from the entry reaches Newton's discrete solution
     want, u = newton_solve(problem).solution.values, entry
     for _ in range(60):
@@ -686,7 +686,7 @@ def test_start_test_rejects_a_calibrated_root_outside_the_sigma2_cone():
     assert int((sigma2_interior(harm + c * w, g.spacing) <= 0.0).sum()) == 37
     assert solver._calibrated_start(g, family) is None
     # the cone entry lies in the full cone, u_tt > 0 and sigma2 > 0
-    assert _in_full_cone(solver._cone_entry(g, family).values, g)
+    assert _in_full_cone(solver._cone_entry(g, harm, lambda: harm).values, g)
 
 
 def test_cone_entry_past_its_cap_raises_ellipticity_lost(monkeypatch, capsys):
@@ -700,8 +700,9 @@ def test_cone_entry_past_its_cap_raises_ellipticity_lost(monkeypatch, capsys):
 
 
 def test_seam_redo_restarts_from_the_cone_entry_and_still_converges(monkeypatch):
-    # 25^3 climbs 7^3 -> 13^3 -> 25^3; a dent at one node of the 13^3
-    # prolongation breaks u_tt there, so that level restarts from its cone entry
+    # 25^3 climbs 7^3 -> 13^3 -> 25^3 and every level passes its seed through
+    # the cone entry; a dent at one node of the 13^3 prolongation breaks u_tt
+    # there, so the entry moves that seed, while the 25^3 seed comes back as it is
     g = cube(-1.0, 1.0, 25)
     problem = DirichletProblem.from_candidate(g, Counterexample(0.25))
     clean = newton_solve(problem)
@@ -718,25 +719,73 @@ def test_seam_redo_restarts_from_the_cone_entry_and_still_converges(monkeypatch)
             dented.append(shape)
         return out
 
+    def recorded_entry(grid, seed, harmonic):
+        start = cone_entry(grid, seed, harmonic)
+        entries.append((grid.shape, start.values is seed))
+        return start
+
     def recorded_newton(*args, **kwargs):
         rep = newton(*args, **kwargs)
         solves.append(rep.iterations)
         return rep
 
     monkeypatch.setattr(solver, "_resample", dent)
-    monkeypatch.setattr(
-        solver, "_cone_entry", lambda g, family: entries.append(g.shape) or cone_entry(g, family)
-    )
+    monkeypatch.setattr(solver, "_cone_entry", recorded_entry)
     monkeypatch.setattr(solver, "newton_solve", recorded_newton)
     rep = solver.newton_solve(problem)
-    assert dented == [(13, 13, 13)] and entries == [(7, 7, 7), (13, 13, 13)]
     c7, c13, c25 = (7,) * 3, (13,) * 3, (25,) * 3
+    assert dented == [c13] and entries == [(c7, False), (c13, False), (c25, True)]
     assert calls == [(c25, c7), (c25, c13), (c7, c13), (c13, c25)]
     assert rep.converged
     # no Newton call re-solves a converged level
     assert all(iters > 0 for iters in solves)
     gap = np.abs(rep.solution.values - clean.solution.values).max()
     assert gap <= 10 * problem.default_tol()
+
+
+def test_every_auto_start_lies_in_the_full_cone_and_inside_seeds_are_kept(monkeypatch):
+    # the rigidity L = 1 row at h = 1/12 climbs 7^3 -> 13^3 -> 25^3; its
+    # prolonged 13^3 and 25^3 seeds keep u_tt > 0 but not sigma2 > 0, and the
+    # cone entry moves them into the full cone before Newton sees them
+    newton, auto_init, cone_entry = solver.newton_solve, solver._auto_init, solver._cone_entry
+    starts, entries, calls = [], [], {"_calibrated_family": 0, "_dirichlet_poisson": 0}
+
+    def recorded_newton(problem, init=None, **kwargs):
+        if init is not None:
+            starts.append(init)
+        return newton(problem, init=init, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", recorded_newton)
+    monkeypatch.setattr(solver, "_auto_init", lambda problem: starts.append(auto_init(problem)) or starts[-1])
+    rows = solver.rigidity_sweep(Quadratic.standard(3), eps=0.1, sizes=(1,), h=1 / 12)
+    assert rows[0]["converged"]
+    assert [s.grid.shape for s in starts] == [(7,) * 3, (13,) * 3, (25,) * 3]
+    assert all(_in_full_cone(s.values, s.grid) for s in starts)
+
+    # every exponential seam is already inside: its start is the prolonged seed
+    # itself, and the solve makes no more Laplace and Poisson solves than the
+    # coarsest entry and the two calibrated families need
+    def recorded_entry(grid, seed, harmonic):
+        start = cone_entry(grid, seed, harmonic)
+        entries.append((grid.shape[0], start.values is seed))
+        return start
+
+    def counted(name):
+        func = getattr(solver, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    counted("_calibrated_family")
+    counted("_dirichlet_poisson")
+    monkeypatch.setattr(solver, "_cone_entry", recorded_entry)
+    problem = DirichletProblem.from_candidate(cube(-1.0, 1.0, 41), Counterexample(0.25))
+    assert solver.newton_solve(problem).converged
+    assert entries == [(6, False), (11, True), (21, True), (41, True)]
+    assert calls == {"_calibrated_family": 2, "_dirichlet_poisson": 9}
 
 
 @pytest.mark.parametrize("dim, m", [(3, 21), (2, 33)], ids=["cube21", "plane33"])
